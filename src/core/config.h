@@ -48,16 +48,6 @@ struct CupidConfig {
     tree_match.num_threads = n;
   }
 
-  /// \brief Toggles the src/perf caching layer (token interning, name
-  /// deduplication, strong-link bitsets) in every phase at once. Results
-  /// are identical either way. Note the default config is NOT
-  /// SetPerfCacheEnabled(true): the linguistic cache defaults on, the
-  /// strong-link cache off (see TreeMatchOptions::use_strong_link_cache).
-  void SetPerfCacheEnabled(bool enabled) {
-    linguistic.use_perf_cache = enabled;
-    tree_match.use_strong_link_cache = enabled;
-  }
-
   /// \brief Range-checks every parameter; keeps Table 1's ordering
   /// constraints (th_low <= th_accept <= th_high).
   Status Validate() const;

@@ -1,9 +1,11 @@
 // CupidMatcher — the public entry point of the library.
 //
-// Runs the three phases of the paper end to end:
+// Runs the three phases of the paper end to end, cold, through the match
+// pipeline (core/match_pipeline.h):
 //   1. linguistic matching (Section 5)     -> element lsim table
 //   2. structural TreeMatch (Sections 6,8) -> node ssim/wsim
 //   3. mapping generation (Section 7)      -> leaf and non-leaf mappings
+// Each call emits one "cupid.match" span with the pipeline's stage timings.
 //
 // Quickstart:
 //
@@ -16,46 +18,10 @@
 #define CUPID_CORE_CUPID_MATCHER_H_
 
 #include "core/config.h"
-#include "linguistic/linguistic_matcher.h"
-#include "mapping/mapping.h"
-#include "structural/tree_match.h"
+#include "core/match_pipeline.h"
 #include "thesaurus/thesaurus.h"
-#include "tree/schema_tree.h"
 
 namespace cupid {
-
-/// Everything a match run produces. The contained trees reference the input
-/// schemas; keep the schemas alive while using the result.
-struct MatchResult {
-  SchemaTree source_tree;
-  SchemaTree target_tree;
-  /// Phase-1 output (normalized names, categories, element lsim).
-  LinguisticResult linguistic;
-  /// Phase-2 similarities after the Section 7 recompute pass.
-  TreeMatchResult tree_match;
-  /// Leaf-level mapping, generated with the configured cardinality.
-  Mapping leaf_mapping;
-  /// Non-leaf mapping (naive 1:n over recomputed non-leaf similarities).
-  Mapping nonleaf_mapping;
-
-  /// \brief wsim of the node pair addressed by dotted context paths;
-  /// 0 when either path does not resolve.
-  double WsimByPath(const std::string& source_path,
-                    const std::string& target_path) const;
-
-  /// \brief Best-wsim target path for a source path (diagnostics).
-  std::string BestTargetFor(const std::string& source_path) const;
-};
-
-/// \brief Phase-3 mapping generation shared by CupidMatcher::Match and
-/// MatchSession::Rematch: the leaf mapping with the configured cardinality
-/// plus the naive 1:n non-leaf mapping. `tmres` must already have been
-/// through the Section 7 recompute pass.
-Status GenerateStandardMappings(const SchemaTree& source,
-                                const SchemaTree& target,
-                                const TreeMatchResult& tmres,
-                                const CupidConfig& config, Mapping* leaf,
-                                Mapping* nonleaf);
 
 /// \brief The Cupid generic schema matcher.
 class CupidMatcher {

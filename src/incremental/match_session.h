@@ -14,6 +14,10 @@
 //     leaf-pair bitset (structural/tree_match.h, TreeMatchDelta);
 //   * mapping generation — always re-derived (cheap, similarity-driven).
 //
+// Each Rematch is one run of the match pipeline (core/match_pipeline.h)
+// with the gather lsim source and the delta structural mode, and emits one
+// "session.rematch" span with the pipeline's stage timings.
+//
 // Rematch() output is bit-identical to a from-scratch CupidMatcher::Match
 // on the session's current schemas (asserted by tests/incremental_test.cc
 // and bench/bench_incremental.cc). Configurations outside the warm-start
@@ -39,25 +43,6 @@
 #include "linguistic/lsim_cache.h"
 
 namespace cupid {
-
-/// \brief Builds the warm-start input relating the new trees to the
-/// previous run's state: node correspondence, reusable flags, seeded dirty
-/// leaf pairs, and snapshot pointers. `prev_element_lsim` is the previous
-/// run's ELEMENT-level lsim table; changed cells are found by diffing it
-/// row-wise against `element_lsim` under the element correspondence (rows
-/// that are bitwise identical are dismissed with one memcmp). Exposed for
-/// tests and benchmarks; MatchSession calls it internally on every warm
-/// Rematch.
-TreeMatchDelta BuildTreeMatchDelta(const SchemaTree& new_source,
-                                   const SchemaTree& new_target,
-                                   const Matrix<float>& element_lsim,
-                                   const SchemaTree& prev_source,
-                                   const SchemaTree& prev_target,
-                                   const Matrix<float>& prev_sweep_ssim,
-                                   const NodeSimilarities& prev_final,
-                                   const Matrix<float>& prev_element_lsim,
-                                   const StructuralCounts* prev_final_counts,
-                                   const TreeMatchOptions& options);
 
 /// How the last Rematch ran (diagnostics; drives bench assertions).
 struct RematchStats {

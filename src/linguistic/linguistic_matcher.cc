@@ -16,6 +16,7 @@
 #include "perf/token_interner.h"
 #include "util/id_runs.h"
 #include "util/mutex.h"
+#include "util/path_map.h"
 #include "util/thread_pool.h"
 
 namespace cupid {
@@ -85,6 +86,21 @@ Matrix<float> ComputeBestScale(const LinguisticOptions& options,
                           cols);
 }
 
+/// Interned keyword ids of every category: the token half of category
+/// similarity, routed through the interner + memo.
+std::vector<std::vector<TokenId>> InternKeywords(
+    const std::vector<Category>& cats, TokenInterner* interner) {
+  std::vector<std::vector<TokenId>> out;
+  out.reserve(cats.size());
+  for (const Category& c : cats) {
+    std::vector<TokenId> ids;
+    ids.reserve(c.keywords.size());
+    for (const Token& t : c.keywords) ids.push_back(interner->Intern(t));
+    out.push_back(std::move(ids));
+  }
+  return out;
+}
+
 /// ComputeBestScale with the category-keyword similarities routed through
 /// the interner + memo (the naive version recomputes thesaurus and affix
 /// work for every one of the |C1|*|C2| category pairs). Same values. With a
@@ -97,21 +113,10 @@ Matrix<float> ComputeBestScaleInterned(const LinguisticOptions& options,
                                        TokenInterner* interner,
                                        TokenPairMemo* external_memo,
                                        int64_t rows, int64_t cols) {
-  const auto& cats1 = categories1.categories;
-  const auto& cats2 = categories2.categories;
-  auto intern_keywords = [&](const std::vector<Category>& cats) {
-    std::vector<std::vector<TokenId>> out;
-    out.reserve(cats.size());
-    for (const Category& c : cats) {
-      std::vector<TokenId> ids;
-      ids.reserve(c.keywords.size());
-      for (const Token& t : c.keywords) ids.push_back(interner->Intern(t));
-      out.push_back(std::move(ids));
-    }
-    return out;
-  };
-  std::vector<std::vector<TokenId>> kw1 = intern_keywords(cats1);
-  std::vector<std::vector<TokenId>> kw2 = intern_keywords(cats2);
+  std::vector<std::vector<TokenId>> kw1 =
+      InternKeywords(categories1.categories, interner);
+  std::vector<std::vector<TokenId>> kw2 =
+      InternKeywords(categories2.categories, interner);
   std::unique_ptr<TokenPairMemo> local_memo;
   TokenPairMemo* memo = external_memo;
   if (memo == nullptr) {
@@ -120,10 +125,10 @@ Matrix<float> ComputeBestScaleInterned(const LinguisticOptions& options,
     memo = local_memo.get();
   }
 
-  Matrix<float> cat_sim(static_cast<int64_t>(cats1.size()),
-                        static_cast<int64_t>(cats2.size()));
-  for (size_t i = 0; i < cats1.size(); ++i) {
-    for (size_t j = 0; j < cats2.size(); ++j) {
+  Matrix<float> cat_sim(static_cast<int64_t>(kw1.size()),
+                        static_cast<int64_t>(kw2.size()));
+  for (size_t i = 0; i < kw1.size(); ++i) {
+    for (size_t j = 0; j < kw2.size(); ++j) {
       cat_sim(static_cast<int64_t>(i), static_cast<int64_t>(j)) =
           static_cast<float>(
               InternedTokenSetSimilarity(kw1[i], kw2[j], memo));
@@ -134,11 +139,14 @@ Matrix<float> ComputeBestScaleInterned(const LinguisticOptions& options,
 }
 
 /// Annotation vectors, built once per documented element (Section 10's
-/// future-work item; see linguistic/annotations.h).
+/// future-work item; see linguistic/annotations.h). All empty when the
+/// blend is off.
 std::vector<AnnotationVector> BuildDocs(const Schema& schema,
-                                        const Thesaurus& thesaurus) {
+                                        const Thesaurus& thesaurus,
+                                        double annotation_weight) {
   std::vector<AnnotationVector> docs(
       static_cast<size_t>(schema.num_elements()));
+  if (annotation_weight <= 0.0) return docs;
   for (ElementId e = 0; e < schema.num_elements(); ++e) {
     if (!schema.element(e).documentation.empty()) {
       docs[static_cast<size_t>(e)] =
@@ -148,28 +156,71 @@ std::vector<AnnotationVector> BuildDocs(const Schema& schema,
   return docs;
 }
 
-/// All element containment paths ("Root.Address.Street"). Ids are assigned
-/// parent-before-child by Schema::AddElement, so one ascending pass builds
-/// every path in O(total path length); detached elements use their bare
-/// name (and a defensive bare-name fallback covers any out-of-order parent,
-/// which at worst degrades mapping to recomputation, never to wrong reuse —
-/// the feature check below is what licenses a copy, not the map).
-/// Path SYNTAX (dot-joined names) must stay in sync with the node-level
-/// builders: NodePaths in incremental/match_session.cc and the path index
-/// in tree/schema_tree.cc (SchemaTree::PathName / Finalize).
-std::vector<std::string> ElementPaths(const Schema& s) {
-  std::vector<std::string> paths(static_cast<size_t>(s.num_elements()));
-  for (ElementId id = 0; id < s.num_elements(); ++id) {
-    ElementId p = s.parent(id);
-    if (p == kNoElement || p >= id) {
-      paths[static_cast<size_t>(id)] = s.element(id).name;
-    } else {
-      paths[static_cast<size_t>(id)] =
-          paths[static_cast<size_t>(p)] + "." + s.element(id).name;
-    }
+/// The per-cell arithmetic of every lsim path: name similarity times the
+/// category scale, clamped, then blended with the annotation cosine when
+/// both elements are documented:
+///   lsim = (1-w)·clamp(ns·scale) + w·cosine(doc1, doc2).
+inline float MixLsim(double ns, float scale, const AnnotationVector& doc1,
+                     const AnnotationVector& doc2, double annotation_weight) {
+  double lsim = std::clamp(ns * static_cast<double>(scale), 0.0, 1.0);
+  if (annotation_weight > 0.0 && !doc1.empty() && !doc2.empty()) {
+    lsim = (1.0 - annotation_weight) * lsim +
+           annotation_weight * AnnotationCosine(doc1, doc2);
   }
-  return paths;
+  return static_cast<float>(lsim);
 }
+
+/// Distinct-name index of every element, in id order: `find` maps a raw
+/// name to its registry index (registering it, or -1 when absent). False
+/// when some name is absent.
+template <typename Find>
+bool IndexNames(const Schema& s, Find&& find,
+                std::vector<int32_t>* of_element) {
+  of_element->reserve(static_cast<size_t>(s.num_elements()));
+  for (ElementId id : s.AllElements()) {
+    const int32_t d = find(s.element(id).name);
+    if (d < 0) return false;
+    of_element->push_back(d);
+  }
+  return true;
+}
+
+/// IndexNames against a registry (LsimCache::SideNames) that registers
+/// every new name.
+template <typename Registry>
+void RegisterNames(const Schema& s, Registry* registry,
+                   const NameNormalizer& normalizer, TokenInterner* interner,
+                   std::vector<int32_t>* of_element) {
+  IndexNames(
+      s,
+      [&](const std::string& raw) {
+        return registry->Register(raw, normalizer, interner);
+      },
+      of_element);
+}
+
+/// Per-element normalized names, gathered from a distinct-name registry.
+std::shared_ptr<const std::vector<NormalizedName>> CollectNames(
+    const std::vector<int32_t>& of_element,
+    const std::vector<NormalizedName>& registry) {
+  auto names = std::make_shared<std::vector<NormalizedName>>();
+  names->reserve(of_element.size());
+  for (int32_t id : of_element) {
+    names->push_back(registry[static_cast<size_t>(id)]);
+  }
+  return names;
+}
+
+/// A schema's elements as a containment forest (util/path_map.h).
+struct ElementForest {
+  const Schema& s;
+  int32_t size() const { return static_cast<int32_t>(s.num_elements()); }
+  const std::string& name(ElementId e) const { return s.element(e).name; }
+  ElementId parent(ElementId e) const { return s.parent(e); }
+  const std::vector<ElementId>& children(ElementId e) const {
+    return s.children(e);
+  }
+};
 
 }  // namespace
 
@@ -199,11 +250,10 @@ bool SameLsimElementFeatures(const Schema& s, ElementId e, const Schema& ps,
 
 namespace {
 
-/// One side of the plan: map current -> previous elements by containment
-/// path (same-named occurrences paired by rank, unmapped children of mapped
-/// parents aligned by sibling order — the element-level mirror of the tree
-/// correspondence in incremental/match_session.cc), then flag every element
-/// that is unmapped or whose lsim-relevant features changed.
+/// One side of the plan: map current -> previous elements (identity first,
+/// else by containment path, as the structural delta maps tree nodes in
+/// incremental/tree_match_delta.cc), then flag every element that is
+/// unmapped or whose lsim-relevant features changed.
 int64_t PlanSide(const Schema& s, const Schema& prev,
                  std::vector<ElementId>* map, std::vector<uint8_t>* changed) {
   const int64_t n = s.num_elements();
@@ -238,57 +288,7 @@ int64_t PlanSide(const Schema& s, const Schema& prev,
     }
     if (num_changed <= std::max<int64_t>(4, n / 64)) return num_changed;
   }
-  std::vector<std::string> new_paths = ElementPaths(s);
-  std::vector<std::string> old_paths = ElementPaths(prev);
-  std::unordered_map<std::string, std::vector<ElementId>> old_groups;
-  old_groups.reserve(old_paths.size());
-  for (ElementId o = 0; o < prev.num_elements(); ++o) {
-    old_groups[old_paths[static_cast<size_t>(o)]].push_back(o);
-  }
-  std::unordered_map<std::string, std::vector<ElementId>> new_groups;
-  new_groups.reserve(new_paths.size());
-  for (ElementId e = 0; e < n; ++e) {
-    new_groups[new_paths[static_cast<size_t>(e)]].push_back(e);
-  }
-  map->assign(static_cast<size_t>(n), kNoElement);
-  // Each path's group writes a disjoint slice of `map` (an element has one
-  // path), so visiting the groups in hash order cannot change the result.
-  // NOLINTNEXTLINE(determinism:unordered-iteration)
-  for (const auto& [path, news] : new_groups) {
-    auto it = old_groups.find(path);
-    if (it == old_groups.end() || it->second.size() != news.size()) continue;
-    for (size_t i = 0; i < news.size(); ++i) {
-      (*map)[static_cast<size_t>(news[i])] = it->second[i];
-    }
-  }
-  // Order-based alignment of unmapped children under mapped parents: a
-  // rename keeps element identity but changes every descendant path.
-  // Parents precede children in id order, so one ascending pass recurses.
-  std::vector<uint8_t> covered(static_cast<size_t>(prev.num_elements()), 0);
-  for (ElementId e = 0; e < n; ++e) {
-    ElementId o = (*map)[static_cast<size_t>(e)];
-    if (o != kNoElement) covered[static_cast<size_t>(o)] = 1;
-  }
-  for (ElementId e = 0; e < n; ++e) {
-    ElementId o = (*map)[static_cast<size_t>(e)];
-    if (o == kNoElement) continue;
-    std::vector<ElementId> new_unmapped, old_uncovered;
-    for (ElementId c : s.children(e)) {
-      if ((*map)[static_cast<size_t>(c)] == kNoElement) {
-        new_unmapped.push_back(c);
-      }
-    }
-    for (ElementId c : prev.children(o)) {
-      if (!covered[static_cast<size_t>(c)]) old_uncovered.push_back(c);
-    }
-    if (new_unmapped.empty() || new_unmapped.size() != old_uncovered.size()) {
-      continue;
-    }
-    for (size_t i = 0; i < new_unmapped.size(); ++i) {
-      (*map)[static_cast<size_t>(new_unmapped[i])] = old_uncovered[i];
-      covered[static_cast<size_t>(old_uncovered[i])] = 1;
-    }
-  }
+  *map = MapByContainmentPath(ElementForest{s}, ElementForest{prev});
   changed->assign(static_cast<size_t>(n), 0);
   int64_t num_changed = 0;
   for (ElementId e = 0; e < n; ++e) {
@@ -314,8 +314,7 @@ LsimGatherPlan BuildLsimGatherPlan(const Schema& s1, const Schema& s2,
   return plan;
 }
 
-Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
-                                                  const Schema& s2) const {
+Status LinguisticMatcher::Validate(const LsimCache* cache) const {
   if (options_.thns < 0.0 || options_.thns > 1.0) {
     return Status::InvalidArgument("thns must be within [0,1]");
   }
@@ -325,7 +324,29 @@ Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
   if (options_.num_threads < 0) {
     return Status::InvalidArgument("num_threads must be >= 0");
   }
-  if (options_.use_perf_cache) return MatchCached(s1, s2);
+  if (cache == nullptr) return Status::OK();
+  if (cache->thesaurus_ != thesaurus_) {
+    return Status::InvalidArgument(
+        "LsimCache is bound to a different thesaurus");
+  }
+  // Cached name similarities depend on the substring options and token
+  // weights they were computed under; reject a cache bound differently.
+  const LinguisticOptions& co = cache->options_;
+  if (co.substring.scale != options_.substring.scale ||
+      co.substring.min_affix != options_.substring.min_affix ||
+      co.token_weights.w != options_.token_weights.w) {
+    return Status::InvalidArgument(
+        "LsimCache is bound to different linguistic options");
+  }
+  return Status::OK();
+}
+
+Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
+                                                  const Schema& s2) const {
+  CUPID_RETURN_NOT_OK(Validate(nullptr));
+  if (options_.use_perf_cache) {
+    return MatchCached(s1, s2, /*view=*/nullptr, /*read_view=*/nullptr);
+  }
 
   // Naive path: every element pair is compared from scratch. Kept as the
   // reference implementation for equivalence tests and benchmarks.
@@ -344,13 +365,9 @@ Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
       ComputeBestScale(options_, *thesaurus_, *out.categories1,
                        *out.categories2, s1.num_elements(),
                        s2.num_elements());
-
-  std::vector<AnnotationVector> docs1(static_cast<size_t>(s1.num_elements()));
-  std::vector<AnnotationVector> docs2(static_cast<size_t>(s2.num_elements()));
-  if (options_.annotation_weight > 0.0) {
-    docs1 = BuildDocs(s1, *thesaurus_);
-    docs2 = BuildDocs(s2, *thesaurus_);
-  }
+  const double w = options_.annotation_weight;
+  std::vector<AnnotationVector> docs1 = BuildDocs(s1, *thesaurus_, w);
+  std::vector<AnnotationVector> docs2 = BuildDocs(s2, *thesaurus_, w);
 
   for (ElementId e1 = 0; e1 < s1.num_elements(); ++e1) {
     for (ElementId e2 = 0; e2 < s2.num_elements(); ++e2) {
@@ -361,186 +378,10 @@ Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
           (*out.names1)[static_cast<size_t>(e1)],
           (*out.names2)[static_cast<size_t>(e2)], *thesaurus_,
           options_.token_weights, options_.substring);
-      double lsim = std::clamp(ns * static_cast<double>(scale), 0.0, 1.0);
-      const AnnotationVector& d1 = docs1[static_cast<size_t>(e1)];
-      const AnnotationVector& d2 = docs2[static_cast<size_t>(e2)];
-      if (options_.annotation_weight > 0.0 && !d1.empty() && !d2.empty()) {
-        double w = options_.annotation_weight;
-        lsim = (1.0 - w) * lsim + w * AnnotationCosine(d1, d2);
-      }
-      out.lsim(e1, e2) = static_cast<float>(lsim);
+      out.lsim(e1, e2) = MixLsim(ns, scale, docs1[static_cast<size_t>(e1)],
+                                 docs2[static_cast<size_t>(e2)], w);
     }
   }
-  return out;
-}
-
-Result<LinguisticResult> LinguisticMatcher::MatchCached(
-    const Schema& s1, const Schema& s2, LsimCache* cache) const {
-  if (cache == nullptr) return MatchCachedImpl(s1, s2, nullptr);
-  // The whole serial fill runs under the cache mutex (see lsim_cache.h);
-  // the pool workers in the scatter below only read run-local state.
-  SharedMutexLock lock(&cache->mu_);
-  LsimCacheView view = cache->LockedView();
-  return MatchCachedImpl(s1, s2, &view);
-}
-
-Result<LinguisticResult> LinguisticMatcher::MatchCachedImpl(
-    const Schema& s1, const Schema& s2, LsimCacheView* view,
-    bool warm_only) const {
-  LinguisticResult out;
-  // Run-local interner, used when no cross-run cache is supplied.
-  TokenInterner local_interner;
-  TokenInterner* interner = view ? view->interner() : &local_interner;
-
-  // Distinct raw names, each normalized and interned exactly once. Elements
-  // sharing a raw name share the distinct entry (normalization is a pure
-  // function of the raw name). With a cache, the registries persist across
-  // calls and indices are cumulative — entries of names edited away stay
-  // allocated, bounded by the distinct names ever seen.
-  LsimCache::SideNames local_d1, local_d2;
-  LsimCache::SideNames& d1 = view ? view->side1() : local_d1;
-  LsimCache::SideNames& d2 = view ? view->side2() : local_d2;
-  std::vector<int32_t> of_element1, of_element2;
-  auto build_distinct = [&](const Schema& s, LsimCache::SideNames& d,
-                            std::vector<int32_t>* of_element) {
-    of_element->reserve(static_cast<size_t>(s.num_elements()));
-    for (ElementId id : s.AllElements()) {
-      of_element->push_back(
-          d.Register(s.element(id).name, normalizer_, interner));
-    }
-  };
-  build_distinct(s1, d1, &of_element1);
-  build_distinct(s2, d2, &of_element2);
-
-  auto collect_names = [](const std::vector<int32_t>& of_element,
-                          const LsimCache::SideNames& d) {
-    auto names = std::make_shared<std::vector<NormalizedName>>();
-    names->reserve(of_element.size());
-    for (int32_t id : of_element) {
-      names->push_back(d.names[static_cast<size_t>(id)]);
-    }
-    return names;
-  };
-  out.names1 = collect_names(of_element1, d1);
-  out.names2 = collect_names(of_element2, d2);
-  out.categories1 = std::make_shared<const Categorization>(
-      CategorizeSchema(s1, *out.names1, normalizer_));
-  out.categories2 = std::make_shared<const Categorization>(
-      CategorizeSchema(s2, *out.names2, normalizer_));
-  out.lsim = Matrix<float>(s1.num_elements(), s2.num_elements());
-
-  Matrix<float> best_scale = ComputeBestScaleInterned(
-      options_, thesaurus_, *out.categories1, *out.categories2, interner,
-      view ? view->memo() : nullptr, s1.num_elements(), s2.num_elements());
-
-  std::vector<AnnotationVector> docs1(static_cast<size_t>(s1.num_elements()));
-  std::vector<AnnotationVector> docs2(static_cast<size_t>(s2.num_elements()));
-  if (options_.annotation_weight > 0.0 && !warm_only) {
-    docs1 = BuildDocs(s1, *thesaurus_);
-    docs2 = BuildDocs(s2, *thesaurus_);
-  }
-
-  // A distinct name pair needs its similarity iff some un-pruned element
-  // pair maps onto it — categorization pruning is preserved.
-  const int64_t num_d1 = static_cast<int64_t>(d1.names.size());
-  const int64_t num_d2 = static_cast<int64_t>(d2.names.size());
-  Matrix<uint8_t> needed(num_d1, num_d2);
-  for (ElementId e1 = 0; e1 < s1.num_elements(); ++e1) {
-    uint8_t* needed_row = &needed(of_element1[static_cast<size_t>(e1)], 0);
-    const float* scale_row = &best_scale(e1, 0);
-    const int32_t* idx2 = of_element2.data();
-    const int64_t cols = s2.num_elements();
-    for (int64_t e2 = 0; e2 < cols; ++e2) {
-      if (scale_row[e2] > 0.0f) needed_row[idx2[e2]] = 1;
-    }
-  }
-
-  int threads = ThreadPool::EffectiveThreads(options_.num_threads);
-  std::unique_ptr<ThreadPool> pool;
-  // Spawning workers only pays when some row block is big enough to leave
-  // ParallelFor's inline path (2 * its 16-row minimum chunk). A warm-only
-  // pass never reaches the parallel sections.
-  if (!warm_only && threads > 1 &&
-      std::max(num_d1, s1.num_elements()) >= 32) {
-    pool = std::make_unique<ThreadPool>(threads);
-  }
-
-  // Name similarity once per needed distinct pair. Without a cache, each
-  // row block carries its own memo (TokenSimilarity is pure, so per-thread
-  // memos change nothing but hit rates); concurrent memos stay hash-backed
-  // so they don't each pay the dense table's vocab-squared zero-fill. With
-  // a cache, values persist in it and uncached pairs are filled serially
-  // (the persistent memo is not thread-safe) — after a warm first run only
-  // pairs involving edited names miss.
-  Matrix<double> local_ns;
-  if (view) {
-    view->EnsureCapacity(num_d1, num_d2);
-    for (int64_t i = 0; i < num_d1; ++i) {
-      const uint8_t* needed_row = &needed(i, 0);
-      for (int64_t j = 0; j < num_d2; ++j) {
-        if (needed_row[j]) {
-          view->NameSimilarity(static_cast<int32_t>(i),
-                               static_cast<int32_t>(j),
-                               options_.token_weights);
-        }
-      }
-    }
-  } else {
-    local_ns = Matrix<double>(num_d1, num_d2);
-    ParallelFor(pool.get(), num_d1, [&](int64_t begin, int64_t end) {
-      TokenPairMemo memo(interner, thesaurus_, options_.substring,
-                         /*use_dense=*/pool == nullptr);
-      for (int64_t i = begin; i < end; ++i) {
-        for (int64_t j = 0; j < num_d2; ++j) {
-          if (!needed(i, j)) continue;
-          local_ns(i, j) = InternedNameSimilarity(
-              d1.interned[static_cast<size_t>(i)],
-              d2.interned[static_cast<size_t>(j)], options_.token_weights,
-              &memo);
-        }
-      }
-    });
-  }
-  if (warm_only) {
-    // WarmNames: every needed name-pair similarity is now in the cache; the
-    // element-pair scatter is left to the shared-mode readers (MatchWarmed).
-    return out;
-  }
-  const Matrix<double>& distinct_ns = view ? view->ns() : local_ns;
-
-  // Scatter the distinct similarities into the element-pair lsim table,
-  // applying the per-pair category scale and annotation blend.
-  std::atomic<int64_t> comparisons{0};
-  ParallelFor(pool.get(), s1.num_elements(), [&](int64_t begin, int64_t end) {
-    int64_t local = 0;
-    const int64_t cols = s2.num_elements();
-    const int32_t* idx2 = of_element2.data();
-    for (ElementId e1 = static_cast<ElementId>(begin);
-         e1 < static_cast<ElementId>(end); ++e1) {
-      const double* ns_row =
-          distinct_ns.row(of_element1[static_cast<size_t>(e1)]);
-      const float* scale_row = &best_scale(e1, 0);
-      float* lsim_row = &out.lsim(e1, 0);
-      const bool blend = options_.annotation_weight > 0.0 &&
-                         !docs1[static_cast<size_t>(e1)].empty();
-      for (int64_t e2 = 0; e2 < cols; ++e2) {
-        float scale = scale_row[e2];
-        if (scale <= 0.0f) continue;
-        ++local;
-        double lsim = std::clamp(
-            ns_row[idx2[e2]] * static_cast<double>(scale), 0.0, 1.0);
-        if (blend && !docs2[static_cast<size_t>(e2)].empty()) {
-          double w = options_.annotation_weight;
-          lsim = (1.0 - w) * lsim +
-                 w * AnnotationCosine(docs1[static_cast<size_t>(e1)],
-                                      docs2[static_cast<size_t>(e2)]);
-        }
-        lsim_row[e2] = static_cast<float>(lsim);
-      }
-    }
-    comparisons.fetch_add(local, std::memory_order_relaxed);
-  });
-  out.comparisons = comparisons.load();
   return out;
 }
 
@@ -548,29 +389,12 @@ Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
                                                   const Schema& s2,
                                                   LsimCache* cache) const {
   if (cache == nullptr) return Match(s1, s2);
-  if (cache->thesaurus_ != thesaurus_) {
-    return Status::InvalidArgument(
-        "LsimCache is bound to a different thesaurus");
-  }
-  // Cached name similarities depend on the substring options and token
-  // weights they were computed under; reject a cache bound differently.
-  const LinguisticOptions& co = cache->options_;
-  if (co.substring.scale != options_.substring.scale ||
-      co.substring.min_affix != options_.substring.min_affix ||
-      co.token_weights.w != options_.token_weights.w) {
-    return Status::InvalidArgument(
-        "LsimCache is bound to different linguistic options");
-  }
-  if (options_.thns < 0.0 || options_.thns > 1.0) {
-    return Status::InvalidArgument("thns must be within [0,1]");
-  }
-  if (options_.annotation_weight < 0.0 || options_.annotation_weight > 1.0) {
-    return Status::InvalidArgument("annotation_weight must be within [0,1]");
-  }
-  if (options_.num_threads < 0) {
-    return Status::InvalidArgument("num_threads must be >= 0");
-  }
-  return MatchCached(s1, s2, cache);
+  CUPID_RETURN_NOT_OK(Validate(cache));
+  // The whole serial fill runs under the cache mutex (see lsim_cache.h);
+  // the pool workers in the scatter only read run-local state.
+  SharedMutexLock lock(&cache->mu_);
+  LsimCacheView view = cache->LockedView();
+  return MatchCached(s1, s2, &view, /*read_view=*/nullptr);
 }
 
 Status LinguisticMatcher::WarmNames(const Schema& s1, const Schema& s2,
@@ -578,151 +402,202 @@ Status LinguisticMatcher::WarmNames(const Schema& s1, const Schema& s2,
   if (cache == nullptr) {
     return Status::InvalidArgument("WarmNames requires an LsimCache");
   }
-  if (cache->thesaurus_ != thesaurus_) {
-    return Status::InvalidArgument(
-        "LsimCache is bound to a different thesaurus");
-  }
-  const LinguisticOptions& co = cache->options_;
-  if (co.substring.scale != options_.substring.scale ||
-      co.substring.min_affix != options_.substring.min_affix ||
-      co.token_weights.w != options_.token_weights.w) {
-    return Status::InvalidArgument(
-        "LsimCache is bound to different linguistic options");
-  }
-  if (options_.thns < 0.0 || options_.thns > 1.0) {
-    return Status::InvalidArgument("thns must be within [0,1]");
-  }
-  if (options_.annotation_weight < 0.0 || options_.annotation_weight > 1.0) {
-    return Status::InvalidArgument("annotation_weight must be within [0,1]");
-  }
-  if (options_.num_threads < 0) {
-    return Status::InvalidArgument("num_threads must be >= 0");
-  }
+  CUPID_RETURN_NOT_OK(Validate(cache));
   SharedMutexLock lock(&cache->mu_);
   LsimCacheView view = cache->LockedView();
-  return MatchCachedImpl(s1, s2, &view, /*warm_only=*/true).status();
+  return MatchCached(s1, s2, &view, /*read_view=*/nullptr, /*warm_only=*/true)
+      .status();
 }
 
 Result<LinguisticResult> LinguisticMatcher::MatchWarmed(
     const Schema& s1, const Schema& s2, const LsimCache& cache) const {
-  if (cache.thesaurus_ != thesaurus_) {
-    return Status::InvalidArgument(
-        "LsimCache is bound to a different thesaurus");
-  }
-  const LinguisticOptions& co = cache.options_;
-  if (co.substring.scale != options_.substring.scale ||
-      co.substring.min_affix != options_.substring.min_affix ||
-      co.token_weights.w != options_.token_weights.w) {
-    return Status::InvalidArgument(
-        "LsimCache is bound to different linguistic options");
-  }
-  if (options_.thns < 0.0 || options_.thns > 1.0) {
-    return Status::InvalidArgument("thns must be within [0,1]");
-  }
-  if (options_.annotation_weight < 0.0 || options_.annotation_weight > 1.0) {
-    return Status::InvalidArgument("annotation_weight must be within [0,1]");
-  }
-
+  CUPID_RETURN_NOT_OK(Validate(&cache));
   SharedReaderLock lock(&cache.mu_);
   LsimCacheReadView view = cache.LockedReadView();
+  return MatchCached(s1, s2, /*view=*/nullptr, &view);
+}
 
-  // Distinct-name lookup only: a name the exclusive passes never registered
-  // means the candidate was not warmed — report it, never fill.
+Result<LinguisticResult> LinguisticMatcher::MatchCached(
+    const Schema& s1, const Schema& s2, LsimCacheView* view,
+    const LsimCacheReadView* read_view, bool warm_only) const {
+  const int64_t n1 = s1.num_elements(), n2 = s2.num_elements();
   LinguisticResult out;
-  std::vector<int32_t> of_element1, of_element2;
-  auto lookup_distinct = [](const Schema& s, auto&& find,
-                            std::vector<int32_t>* of_element) {
-    of_element->reserve(static_cast<size_t>(s.num_elements()));
-    for (ElementId id : s.AllElements()) {
-      int32_t d = find(s.element(id).name);
-      if (d < 0) return false;
-      of_element->push_back(d);
-    }
-    return true;
-  };
-  if (!lookup_distinct(
-          s1, [&](const std::string& raw) { return view.FindSide1(raw); },
-          &of_element1) ||
-      !lookup_distinct(
-          s2, [&](const std::string& raw) { return view.FindSide2(raw); },
-          &of_element2)) {
-    return Status::Unavailable(
-        "MatchWarmed: schema contains names not warmed into the LsimCache");
-  }
+  // Run-local name state, used when no cross-run cache is supplied. A
+  // shared reader must not grow the cache's interner either: keyword
+  // similarities are pure functions of the token strings, so a run-local
+  // interner and memo give bit-identical category scales.
+  TokenInterner local_interner;
+  TokenInterner* interner = view ? view->interner() : &local_interner;
 
-  auto collect_names = [](const std::vector<int32_t>& of_element,
-                          const std::vector<NormalizedName>& registry) {
-    auto names = std::make_shared<std::vector<NormalizedName>>();
-    names->reserve(of_element.size());
-    for (int32_t id : of_element) {
-      names->push_back(registry[static_cast<size_t>(id)]);
+  // Distinct raw names, each normalized and interned exactly once. Elements
+  // sharing a raw name share the distinct entry (normalization is a pure
+  // function of the raw name). With a cache, the registries persist across
+  // calls and indices are cumulative — entries of names edited away stay
+  // allocated, bounded by the distinct names ever seen. A shared reader
+  // only looks names up: one the exclusive passes never registered means
+  // the candidate was not warmed — report it, never fill.
+  LsimCache::SideNames local_d1, local_d2;
+  std::vector<int32_t> of_element1, of_element2;
+  const std::vector<NormalizedName>* registry1;
+  const std::vector<NormalizedName>* registry2;
+  if (read_view != nullptr) {
+    const int64_t rows = read_view->known().rows();
+    const int64_t cols = read_view->known().cols();
+    auto find1 = [&](const std::string& raw) {
+      int32_t d = read_view->FindSide1(raw);
+      return d < rows ? d : -1;
+    };
+    auto find2 = [&](const std::string& raw) {
+      int32_t d = read_view->FindSide2(raw);
+      return d < cols ? d : -1;
+    };
+    if (!IndexNames(s1, find1, &of_element1) ||
+        !IndexNames(s2, find2, &of_element2)) {
+      return Status::Unavailable(
+          "MatchWarmed: schema contains names not warmed into the LsimCache");
     }
-    return names;
-  };
-  out.names1 = collect_names(of_element1, view.names1());
-  out.names2 = collect_names(of_element2, view.names2());
+    registry1 = &read_view->names1();
+    registry2 = &read_view->names2();
+  } else {
+    LsimCache::SideNames* d1 = view ? &view->side1() : &local_d1;
+    LsimCache::SideNames* d2 = view ? &view->side2() : &local_d2;
+    RegisterNames(s1, d1, normalizer_, interner, &of_element1);
+    RegisterNames(s2, d2, normalizer_, interner, &of_element2);
+    registry1 = &d1->names;
+    registry2 = &d2->names;
+  }
+  out.names1 = CollectNames(of_element1, *registry1);
+  out.names2 = CollectNames(of_element2, *registry2);
   out.categories1 = std::make_shared<const Categorization>(
       CategorizeSchema(s1, *out.names1, normalizer_));
   out.categories2 = std::make_shared<const Categorization>(
       CategorizeSchema(s2, *out.names2, normalizer_));
-  out.lsim = Matrix<float>(s1.num_elements(), s2.num_elements());
 
-  // Category scaling through a RUN-LOCAL interner and memo: the keyword
-  // similarities are pure functions of the token strings, so the values are
-  // bit-identical to the cached pass while never touching the shared
-  // interner (which a reader must not grow).
-  TokenInterner local_interner;
   Matrix<float> best_scale = ComputeBestScaleInterned(
-      options_, thesaurus_, *out.categories1, *out.categories2,
-      &local_interner, /*external_memo=*/nullptr, s1.num_elements(),
-      s2.num_elements());
+      options_, thesaurus_, *out.categories1, *out.categories2, interner,
+      view ? view->memo() : nullptr, n1, n2);
 
-  std::vector<AnnotationVector> docs1(static_cast<size_t>(s1.num_elements()));
-  std::vector<AnnotationVector> docs2(static_cast<size_t>(s2.num_elements()));
-  if (options_.annotation_weight > 0.0) {
-    docs1 = BuildDocs(s1, *thesaurus_);
-    docs2 = BuildDocs(s2, *thesaurus_);
+  // Spawning workers only pays when some row block is big enough to leave
+  // ParallelFor's inline path (2 * its 16-row minimum chunk). Shared
+  // readers stay serial: corpus-search parallelism comes from running many
+  // candidate matches concurrently.
+  const int64_t num_d1 = static_cast<int64_t>(registry1->size());
+  const int64_t num_d2 = static_cast<int64_t>(registry2->size());
+  int threads = ThreadPool::EffectiveThreads(options_.num_threads);
+  std::unique_ptr<ThreadPool> pool;
+  if (!warm_only && read_view == nullptr && threads > 1 &&
+      std::max(num_d1, n1) >= 32) {
+    pool = std::make_unique<ThreadPool>(threads);
   }
 
-  // Serial scatter, same arithmetic as MatchCachedImpl's (the scatter writes
-  // disjoint cells, so threading never affects values; corpus-search
-  // parallelism comes from running many MatchWarmed calls concurrently).
-  int64_t comparisons = 0;
-  const int64_t cols = s2.num_elements();
-  const int32_t* idx2 = of_element2.data();
-  for (ElementId e1 = 0; e1 < s1.num_elements(); ++e1) {
-    const int32_t d1 = of_element1[static_cast<size_t>(e1)];
-    const float* scale_row = &best_scale(e1, 0);
-    float* lsim_row = &out.lsim(e1, 0);
-    const bool blend = options_.annotation_weight > 0.0 &&
-                       !docs1[static_cast<size_t>(e1)].empty();
-    for (int64_t e2 = 0; e2 < cols; ++e2) {
-      float scale = scale_row[e2];
-      if (scale <= 0.0f) continue;
-      ++comparisons;
-      double ns;
-      if (!view.NameSimilarityIfKnown(d1, idx2[e2], &ns)) {
-        return Status::Unavailable(
-            "MatchWarmed: name pair not warmed into the LsimCache");
+  // Name similarity once per needed distinct pair: a distinct name pair
+  // needs it iff some un-pruned element pair maps onto it, so
+  // categorization pruning is preserved. Without a cache, each row block
+  // carries its own memo (TokenSimilarity is pure, so per-thread memos
+  // change nothing but hit rates); concurrent memos stay hash-backed so
+  // they don't each pay the dense table's vocab-squared zero-fill. With a
+  // cache, values persist in it and uncached pairs are filled serially
+  // (the persistent memo is not thread-safe) — after a warm first run only
+  // pairs involving edited names miss. A shared reader fills nothing; the
+  // scatter checks every cell it reads was computed.
+  Matrix<double> local_ns;
+  const Matrix<double>* distinct_ns = &local_ns;
+  const Matrix<uint8_t>* known = nullptr;
+  if (read_view != nullptr) {
+    distinct_ns = &read_view->ns();
+    known = &read_view->known();
+  } else {
+    Matrix<uint8_t> needed(num_d1, num_d2);
+    for (ElementId e1 = 0; e1 < n1; ++e1) {
+      uint8_t* needed_row = &needed(of_element1[static_cast<size_t>(e1)], 0);
+      const float* scale_row = &best_scale(e1, 0);
+      const int32_t* idx2 = of_element2.data();
+      for (int64_t e2 = 0; e2 < n2; ++e2) {
+        if (scale_row[e2] > 0.0f) needed_row[idx2[e2]] = 1;
       }
-      double lsim = std::clamp(ns * static_cast<double>(scale), 0.0, 1.0);
-      if (blend && !docs2[static_cast<size_t>(e2)].empty()) {
-        double w = options_.annotation_weight;
-        lsim = (1.0 - w) * lsim +
-               w * AnnotationCosine(docs1[static_cast<size_t>(e1)],
-                                    docs2[static_cast<size_t>(e2)]);
+    }
+    if (view) {
+      view->EnsureCapacity(num_d1, num_d2);
+      for (int64_t i = 0; i < num_d1; ++i) {
+        const uint8_t* needed_row = &needed(i, 0);
+        for (int64_t j = 0; j < num_d2; ++j) {
+          if (needed_row[j]) {
+            view->NameSimilarity(static_cast<int32_t>(i),
+                                 static_cast<int32_t>(j),
+                                 options_.token_weights);
+          }
+        }
       }
-      lsim_row[e2] = static_cast<float>(lsim);
+      distinct_ns = &view->ns();
+    } else {
+      local_ns = Matrix<double>(num_d1, num_d2);
+      const std::vector<InternedName>& interned1 = local_d1.interned;
+      const std::vector<InternedName>& interned2 = local_d2.interned;
+      ParallelFor(pool.get(), num_d1, [&](int64_t begin, int64_t end) {
+        TokenPairMemo memo(interner, thesaurus_, options_.substring,
+                           /*use_dense=*/pool == nullptr);
+        for (int64_t i = begin; i < end; ++i) {
+          for (int64_t j = 0; j < num_d2; ++j) {
+            if (!needed(i, j)) continue;
+            local_ns(i, j) = InternedNameSimilarity(
+                interned1[static_cast<size_t>(i)],
+                interned2[static_cast<size_t>(j)], options_.token_weights,
+                &memo);
+          }
+        }
+      });
     }
   }
-  out.comparisons = comparisons;
+  if (warm_only) {
+    // WarmNames: every needed name-pair similarity is now in the cache; the
+    // element-pair scatter is left to the shared-mode readers (MatchWarmed).
+    return out;
+  }
+
+  // Scatter the distinct similarities into the element-pair lsim table,
+  // applying the per-pair category scale and annotation blend.
+  const double w = options_.annotation_weight;
+  std::vector<AnnotationVector> docs1 = BuildDocs(s1, *thesaurus_, w);
+  std::vector<AnnotationVector> docs2 = BuildDocs(s2, *thesaurus_, w);
+  out.lsim = Matrix<float>(n1, n2);
+  std::atomic<int64_t> comparisons{0};
+  std::atomic<bool> unwarmed{false};
+  ParallelFor(pool.get(), n1, [&](int64_t begin, int64_t end) {
+    int64_t local = 0;
+    const int32_t* idx2 = of_element2.data();
+    for (ElementId e1 = static_cast<ElementId>(begin);
+         e1 < static_cast<ElementId>(end); ++e1) {
+      const int32_t d1 = of_element1[static_cast<size_t>(e1)];
+      const double* ns_row = distinct_ns->row(d1);
+      const uint8_t* known_row = known ? known->row(d1) : nullptr;
+      const float* scale_row = &best_scale(e1, 0);
+      float* lsim_row = &out.lsim(e1, 0);
+      const AnnotationVector& doc1 = docs1[static_cast<size_t>(e1)];
+      for (int64_t e2 = 0; e2 < n2; ++e2) {
+        float scale = scale_row[e2];
+        if (scale <= 0.0f) continue;
+        ++local;
+        if (known_row != nullptr && !known_row[idx2[e2]]) {
+          unwarmed.store(true, std::memory_order_relaxed);
+          return;
+        }
+        lsim_row[e2] = MixLsim(ns_row[idx2[e2]], scale, doc1,
+                               docs2[static_cast<size_t>(e2)], w);
+      }
+    }
+    comparisons.fetch_add(local, std::memory_order_relaxed);
+  });
+  if (unwarmed.load()) {
+    return Status::Unavailable(
+        "MatchWarmed: name pair not warmed into the LsimCache");
+  }
+  out.comparisons = comparisons.load();
   return out;
 }
 
 Result<LinguisticResult> LinguisticMatcher::MatchGather(
     const Schema& s1, const Schema& s2, LsimCache* cache,
     const LsimGatherPlan& plan, const LinguisticResult& prev) const {
-  const Matrix<float>& prev_lsim = prev.lsim;
   if (cache == nullptr) {
     return Status::InvalidArgument("MatchGather requires an LsimCache");
   }
@@ -734,62 +609,40 @@ Result<LinguisticResult> LinguisticMatcher::MatchGather(
     return Status::InvalidArgument(
         "LsimGatherPlan does not match the schemas");
   }
-  // Above the rebuild fraction the per-row patching has a worse constant
-  // than the batch pipeline; the batch call also revalidates everything.
-  const double frac = options_.gather_full_rebuild_fraction;
+  // Above this fraction of changed elements on either side, patching rows
+  // has a worse constant than the batch pipeline (most rows need
+  // recomputing anyway); the batch call also revalidates everything.
+  // Results are identical either way.
+  constexpr double kFullRebuildFraction = 0.25;
   if (static_cast<double>(plan.changed_sources) >
-          frac * static_cast<double>(n1) ||
+          kFullRebuildFraction * static_cast<double>(n1) ||
       static_cast<double>(plan.changed_targets) >
-          frac * static_cast<double>(n2)) {
+          kFullRebuildFraction * static_cast<double>(n2)) {
     return Match(s1, s2, cache);
   }
-  // Cache-binding and option validation, as in Match(s1, s2, cache).
-  if (cache->thesaurus_ != thesaurus_) {
-    return Status::InvalidArgument(
-        "LsimCache is bound to a different thesaurus");
-  }
-  const LinguisticOptions& co = cache->options_;
-  if (co.substring.scale != options_.substring.scale ||
-      co.substring.min_affix != options_.substring.min_affix ||
-      co.token_weights.w != options_.token_weights.w) {
-    return Status::InvalidArgument(
-        "LsimCache is bound to different linguistic options");
-  }
-  if (options_.thns < 0.0 || options_.thns > 1.0) {
-    return Status::InvalidArgument("thns must be within [0,1]");
-  }
-  if (options_.annotation_weight < 0.0 || options_.annotation_weight > 1.0) {
-    return Status::InvalidArgument("annotation_weight must be within [0,1]");
-  }
+  CUPID_RETURN_NOT_OK(Validate(cache));
 
   obs::ScopedSpan span("lsim.gather");
   auto g0 = std::chrono::steady_clock::now();
   LinguisticResult out;
-  // As in MatchCached: the whole patch pipeline holds the cache mutex and
-  // works through a locked view (the row/column fills run serially here).
+  // As in Match(s1, s2, cache): the whole patch pipeline holds the cache
+  // mutex and works through a locked view (the row/column fills run
+  // serially here).
   SharedMutexLock cache_lock(&cache->mu_);
   LsimCacheView view = cache->LockedView();
   TokenInterner* interner = view.interner();
   std::vector<int32_t> of_element1, of_element2;
-  auto build_distinct = [&](const Schema& s, LsimCache::SideNames& d,
-                            std::vector<int32_t>* of_element) {
-    of_element->reserve(static_cast<size_t>(s.num_elements()));
-    for (ElementId id : s.AllElements()) {
-      of_element->push_back(
-          d.Register(s.element(id).name, normalizer_, interner));
-    }
-  };
-  build_distinct(s1, view.side1(), &of_element1);
-  build_distinct(s2, view.side2(), &of_element2);
+  RegisterNames(s1, &view.side1(), normalizer_, interner, &of_element1);
+  RegisterNames(s2, &view.side2(), normalizer_, interner, &of_element2);
   auto g1 = std::chrono::steady_clock::now();
   // Names and categorization are pure functions of the elements' local
   // features in id order, so a side with zero changed elements under an
   // identity map shares the previous run's vectors outright; only an
   // edited side walks the categorizer again.
   auto identity_side = [](const std::vector<ElementId>& map, int64_t changed,
-                          int64_t prev_elements) {
-    if (changed != 0 ||
-        prev_elements != static_cast<int64_t>(map.size())) {
+                          const auto& prev_names, const auto& prev_cats) {
+    if (changed != 0 || prev_names == nullptr || prev_cats == nullptr ||
+        prev_names->size() != map.size()) {
       return false;
     }
     for (size_t i = 0; i < map.size(); ++i) {
@@ -797,36 +650,21 @@ Result<LinguisticResult> LinguisticMatcher::MatchGather(
     }
     return true;
   };
-  auto collect_names = [](const std::vector<int32_t>& of_element,
-                          const LsimCache::SideNames& d) {
-    auto names = std::make_shared<std::vector<NormalizedName>>();
-    names->reserve(of_element.size());
-    for (int32_t id : of_element) {
-      names->push_back(d.names[static_cast<size_t>(id)]);
-    }
-    return names;
-  };
-  const bool src_identity =
-      prev.names1 != nullptr && prev.categories1 != nullptr &&
-      identity_side(plan.source_map, plan.changed_sources,
-                    static_cast<int64_t>(prev.names1->size()));
-  const bool tgt_identity =
-      prev.names2 != nullptr && prev.categories2 != nullptr &&
-      identity_side(plan.target_map, plan.changed_targets,
-                    static_cast<int64_t>(prev.names2->size()));
-  if (src_identity) {
+  if (identity_side(plan.source_map, plan.changed_sources, prev.names1,
+                    prev.categories1)) {
     out.names1 = prev.names1;
     out.categories1 = prev.categories1;
   } else {
-    out.names1 = collect_names(of_element1, view.side1());
+    out.names1 = CollectNames(of_element1, view.side1().names);
     out.categories1 = std::make_shared<const Categorization>(
         CategorizeSchema(s1, *out.names1, normalizer_));
   }
-  if (tgt_identity) {
+  if (identity_side(plan.target_map, plan.changed_targets, prev.names2,
+                    prev.categories2)) {
     out.names2 = prev.names2;
     out.categories2 = prev.categories2;
   } else {
-    out.names2 = collect_names(of_element2, view.side2());
+    out.names2 = CollectNames(of_element2, view.side2().names);
     out.categories2 = std::make_shared<const Categorization>(
         CategorizeSchema(s2, *out.names2, normalizer_));
   }
@@ -843,7 +681,7 @@ Result<LinguisticResult> LinguisticMatcher::MatchGather(
     if (plan.source_changed[static_cast<size_t>(e1)]) continue;
     ElementId o1 = plan.source_map[static_cast<size_t>(e1)];
     float* dst = out.lsim.row(e1);
-    const float* src = prev_lsim.row(o1);
+    const float* src = prev.lsim.row(o1);
     for (const IdRun& run : runs) {
       std::memcpy(dst + run.dst, src + run.src,
                   static_cast<size_t>(run.len) * sizeof(float));
@@ -853,160 +691,94 @@ Result<LinguisticResult> LinguisticMatcher::MatchGather(
 
   auto g3 = std::chrono::steady_clock::now();
   // ---- recompute changed rows and columns, batch arithmetic exactly -----
-  std::vector<AnnotationVector> docs1(static_cast<size_t>(n1));
-  std::vector<AnnotationVector> docs2(static_cast<size_t>(n2));
-  if (options_.annotation_weight > 0.0) {
-    docs1 = BuildDocs(s1, *thesaurus_);
-    docs2 = BuildDocs(s2, *thesaurus_);
-  }
+  const double w = options_.annotation_weight;
+  std::vector<AnnotationVector> docs1 = BuildDocs(s1, *thesaurus_, w);
+  std::vector<AnnotationVector> docs2 = BuildDocs(s2, *thesaurus_, w);
   view.EnsureCapacity(static_cast<int64_t>(view.side1().names.size()),
                       static_cast<int64_t>(view.side2().names.size()));
+  const auto& cats1 = out.categories1->categories;
+  const auto& cats2 = out.categories2->categories;
+  std::vector<std::vector<TokenId>> kw1 = InternKeywords(cats1, interner);
+  std::vector<std::vector<TokenId>> kw2 = InternKeywords(cats2, interner);
 
-  const auto& cats1v = out.categories1->categories;
-  const auto& cats2v = out.categories2->categories;
-  auto intern_keywords = [&](const std::vector<Category>& cats) {
-    std::vector<std::vector<TokenId>> kw;
-    kw.reserve(cats.size());
-    for (const Category& c : cats) {
-      std::vector<TokenId> ids;
-      ids.reserve(c.keywords.size());
-      for (const Token& t : c.keywords) ids.push_back(interner->Intern(t));
-      kw.push_back(std::move(ids));
-    }
-    return kw;
-  };
-  std::vector<std::vector<TokenId>> kw1 = intern_keywords(cats1v);
-  std::vector<std::vector<TokenId>> kw2 = intern_keywords(cats2v);
-  TokenPairMemo* memo = view.memo();
-
-  // Category-similarity rows/columns on demand (a changed element belongs
-  // to a handful of categories; only those rows/columns are ever computed,
-  // through the persistent token-pair memo). Values are exactly the cat_sim
-  // cells ComputeBestScaleInterned would produce.
-  std::unordered_map<int, std::vector<float>> c1_rows, c2_cols;
-  auto cat_row = [&](int c1) -> const std::vector<float>& {
-    auto [it, inserted] = c1_rows.try_emplace(c1);
+  // Category-similarity rows (of a source category) and columns (of a
+  // target category) on demand: a changed element belongs to a handful of
+  // categories, and only those are ever computed, through the persistent
+  // token-pair memo. Values are exactly the cat_sim cells
+  // ComputeBestScaleInterned would produce.
+  std::unordered_map<int, std::vector<float>> cat_rows, cat_cols;
+  auto category_sims = [&](int c, bool source_side) -> const std::vector<float>& {
+    auto [it, inserted] = (source_side ? cat_rows : cat_cols).try_emplace(c);
     if (inserted) {
-      it->second.resize(cats2v.size());
-      for (size_t j = 0; j < cats2v.size(); ++j) {
-        it->second[j] = static_cast<float>(InternedTokenSetSimilarity(
-            kw1[static_cast<size_t>(c1)], kw2[j], memo));
+      const size_t others = source_side ? kw2.size() : kw1.size();
+      it->second.resize(others);
+      for (size_t j = 0; j < others; ++j) {
+        it->second[j] = static_cast<float>(
+            source_side
+                ? InternedTokenSetSimilarity(kw1[static_cast<size_t>(c)],
+                                             kw2[j], view.memo())
+                : InternedTokenSetSimilarity(
+                      kw1[j], kw2[static_cast<size_t>(c)], view.memo()));
       }
     }
     return it->second;
   };
-  auto cat_col = [&](int c2) -> const std::vector<float>& {
-    auto [it, inserted] = c2_cols.try_emplace(c2);
-    if (inserted) {
-      it->second.resize(cats1v.size());
-      for (size_t i = 0; i < cats1v.size(); ++i) {
-        it->second[i] = static_cast<float>(InternedTokenSetSimilarity(
-            kw1[i], kw2[static_cast<size_t>(c2)], memo));
-      }
-    }
-    return it->second;
-  };
-
-  const double w = options_.annotation_weight;
-  const TokenTypeWeights& tw = options_.token_weights;
+  // Best compatible-category scale of one changed element against every
+  // element of the other schema: the max over its categories, with the
+  // same threshold and float casts as ScatterBestScale.
   std::vector<float> best;
-
-  // A changed source's whole row: per-row best compatible-category scale
-  // (max over the element's categories — the same max, threshold and float
-  // casts as ScatterBestScale), then the scale/ns/annotation mix of the
-  // batch scatter. Zero cells are written explicitly: a changed row was
-  // never copied, but fill_col also runs over copied rows.
-  auto fill_row = [&](ElementId e1) {
-    best.assign(static_cast<size_t>(n2), 0.0f);
-    if (!options_.use_categories) {
-      best.assign(static_cast<size_t>(n2), 1.0f);
-    } else {
-      for (int c1 :
-           out.categories1->element_categories[static_cast<size_t>(e1)]) {
-        const std::vector<float>& row = cat_row(c1);
-        for (size_t j = 0; j < cats2v.size(); ++j) {
-          float scale = row[j];
-          if (scale <= options_.thns) continue;
-          for (ElementId e2 : cats2v[j].members) {
-            float& cell = best[static_cast<size_t>(e2)];
-            cell = std::max(cell, scale);
-          }
+  auto best_scales = [&](ElementId e, bool source_side, int64_t n_other) {
+    best.assign(static_cast<size_t>(n_other),
+                options_.use_categories ? 0.0f : 1.0f);
+    if (!options_.use_categories) return;
+    const Categorization& own =
+        source_side ? *out.categories1 : *out.categories2;
+    const std::vector<Category>& other_cats = source_side ? cats2 : cats1;
+    for (int c : own.element_categories[static_cast<size_t>(e)]) {
+      const std::vector<float>& sims = category_sims(c, source_side);
+      for (size_t j = 0; j < other_cats.size(); ++j) {
+        float scale = sims[j];
+        if (scale <= options_.thns) continue;
+        for (ElementId other : other_cats[j].members) {
+          float& cell = best[static_cast<size_t>(other)];
+          cell = std::max(cell, scale);
         }
       }
-    }
-    const int32_t d1 = of_element1[static_cast<size_t>(e1)];
-    float* lrow = out.lsim.row(e1);
-    const bool blend = w > 0.0 && !docs1[static_cast<size_t>(e1)].empty();
-    for (int64_t e2 = 0; e2 < n2; ++e2) {
-      float scale = best[static_cast<size_t>(e2)];
-      if (scale <= 0.0f) {
-        lrow[e2] = 0.0f;
-        continue;
-      }
-      ++out.comparisons;
-      double ns =
-          view.NameSimilarity(d1, of_element2[static_cast<size_t>(e2)], tw);
-      double lsim =
-          std::clamp(ns * static_cast<double>(scale), 0.0, 1.0);
-      if (blend && !docs2[static_cast<size_t>(e2)].empty()) {
-        lsim = (1.0 - w) * lsim +
-               w * AnnotationCosine(docs1[static_cast<size_t>(e1)],
-                                    docs2[static_cast<size_t>(e2)]);
-      }
-      lrow[e2] = static_cast<float>(lsim);
     }
   };
 
-  // A changed target's column over the UNCHANGED rows (changed rows were
-  // fully produced by fill_row); overwrites every visited cell, erasing
-  // whatever the bulk copy left there.
-  auto fill_col = [&](ElementId e2) {
-    best.assign(static_cast<size_t>(n1), 0.0f);
-    if (!options_.use_categories) {
-      best.assign(static_cast<size_t>(n1), 1.0f);
-    } else {
-      for (int c2 :
-           out.categories2->element_categories[static_cast<size_t>(e2)]) {
-        const std::vector<float>& col = cat_col(c2);
-        for (size_t i = 0; i < cats1v.size(); ++i) {
-          float scale = col[i];
-          if (scale <= options_.thns) continue;
-          for (ElementId e1 : cats1v[i].members) {
-            float& cell = best[static_cast<size_t>(e1)];
-            cell = std::max(cell, scale);
-          }
-        }
-      }
+  // One recomputed cell. Zero cells are written explicitly: a changed row
+  // was never copied, but columns also run over copied rows.
+  const TokenTypeWeights& tw = options_.token_weights;
+  auto fill_cell = [&](ElementId e1, ElementId e2, float scale) {
+    if (scale <= 0.0f) {
+      out.lsim(e1, e2) = 0.0f;
+      return;
     }
-    const int32_t d2 = of_element2[static_cast<size_t>(e2)];
-    const bool has_doc2 = w > 0.0 && !docs2[static_cast<size_t>(e2)].empty();
-    for (int64_t e1 = 0; e1 < n1; ++e1) {
-      if (plan.source_changed[static_cast<size_t>(e1)]) continue;
-      float scale = best[static_cast<size_t>(e1)];
-      if (scale <= 0.0f) {
-        out.lsim(e1, e2) = 0.0f;
-        continue;
-      }
-      ++out.comparisons;
-      double ns =
-          view.NameSimilarity(of_element1[static_cast<size_t>(e1)], d2, tw);
-      double lsim =
-          std::clamp(ns * static_cast<double>(scale), 0.0, 1.0);
-      if (has_doc2 && !docs1[static_cast<size_t>(e1)].empty()) {
-        lsim = (1.0 - w) * lsim +
-               w * AnnotationCosine(docs1[static_cast<size_t>(e1)],
-                                    docs2[static_cast<size_t>(e2)]);
-      }
-      out.lsim(e1, e2) = static_cast<float>(lsim);
-    }
+    ++out.comparisons;
+    double ns = view.NameSimilarity(of_element1[static_cast<size_t>(e1)],
+                                    of_element2[static_cast<size_t>(e2)], tw);
+    out.lsim(e1, e2) = MixLsim(ns, scale, docs1[static_cast<size_t>(e1)],
+                               docs2[static_cast<size_t>(e2)], w);
   };
 
   auto g4 = std::chrono::steady_clock::now();
+  // A changed source's whole row, then a changed target's column over the
+  // UNCHANGED rows (changed rows were fully produced by their row pass).
   for (ElementId e1 = 0; e1 < n1; ++e1) {
-    if (plan.source_changed[static_cast<size_t>(e1)]) fill_row(e1);
+    if (!plan.source_changed[static_cast<size_t>(e1)]) continue;
+    best_scales(e1, /*source_side=*/true, n2);
+    for (ElementId e2 = 0; e2 < n2; ++e2) {
+      fill_cell(e1, e2, best[static_cast<size_t>(e2)]);
+    }
   }
   for (ElementId e2 = 0; e2 < n2; ++e2) {
-    if (plan.target_changed[static_cast<size_t>(e2)]) fill_col(e2);
+    if (!plan.target_changed[static_cast<size_t>(e2)]) continue;
+    best_scales(e2, /*source_side=*/false, n1);
+    for (ElementId e1 = 0; e1 < n1; ++e1) {
+      if (plan.source_changed[static_cast<size_t>(e1)]) continue;
+      fill_cell(e1, e2, best[static_cast<size_t>(e1)]);
+    }
   }
   if (span.enabled()) {
     auto g5 = std::chrono::steady_clock::now();

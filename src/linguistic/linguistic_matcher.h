@@ -24,6 +24,7 @@ namespace cupid {
 
 class LsimCache;
 class LsimCacheView;
+class LsimCacheReadView;
 
 /// Tunables of the linguistic phase.
 struct LinguisticOptions {
@@ -47,12 +48,6 @@ struct LinguisticOptions {
   /// resulting lsim is bit-identical to the naive path; off only to
   /// benchmark the naive implementation.
   bool use_perf_cache = true;
-  /// Incremental runs only (MatchGather): when the fraction of elements
-  /// with changed lsim-relevant features exceeds this on either side, the
-  /// gather stops patching rows and falls back to the batch pipeline (the
-  /// per-row scatter has a worse constant once most rows need recomputing).
-  /// Results are identical either way.
-  double gather_full_rebuild_fraction = 0.25;
   /// Worker threads for the lsim matrix fill; 0 = all hardware threads.
   /// Results are identical at any thread count.
   int num_threads = 0;
@@ -146,9 +141,9 @@ class LinguisticMatcher {
   /// bit-identical to Match(s1, s2, cache). A side with zero changed
   /// elements under an identity map also reuses `prev`'s categorization
   /// (a pure function of the unchanged element features). Falls back to
-  /// the full call when the changed fraction exceeds
-  /// gather_full_rebuild_fraction on either side. `cache` is required (the
-  /// recomputed cells are served from the persistent name-pair table).
+  /// the full call when more than a quarter of either side changed.
+  /// `cache` is required (the recomputed cells are served from the
+  /// persistent name-pair table).
   Result<LinguisticResult> MatchGather(const Schema& s1, const Schema& s2,
                                        LsimCache* cache,
                                        const LsimGatherPlan& plan,
@@ -180,24 +175,26 @@ class LinguisticMatcher {
   double NameSimilarity(std::string_view a, std::string_view b) const;
 
  private:
-  /// The cached fast path: distinct-name dedup + interning + memoization,
-  /// parallel over row blocks. Same output as the naive path in Match. With
-  /// a non-null `cache`, interner/memo/name registry live in the cache and
-  /// survive across calls; name-pair fills then run serially (the persistent
-  /// memo is not thread-safe), which only costs on the cold first run.
-  /// Takes the cache mutex for the whole call and delegates to
-  /// MatchCachedImpl through a locked view.
-  Result<LinguisticResult> MatchCached(const Schema& s1, const Schema& s2,
-                                       LsimCache* cache = nullptr) const;
+  /// Range-checks the options and, with a cache, that the cache is bound to
+  /// this matcher's thesaurus and name-similarity options (mixing would
+  /// serve values computed under other inputs).
+  Status Validate(const LsimCache* cache) const;
 
-  /// Body of MatchCached. `view` is a locked view of the cache (null when
-  /// running without one); working through plain pointers keeps the
-  /// critical section checkable without annotating the fill lambdas. With
-  /// `warm_only` (WarmNames), stops after the name-pair fill — the
+  /// The cached fast path behind Match, WarmNames and MatchWarmed:
+  /// distinct-name dedup + interning + memoization, parallel over row
+  /// blocks. Same output as the naive path. Name-level state is run-local
+  /// (both views null), the cache's under an exclusive hold (`view`:
+  /// registries, interner and memo survive across calls, name-pair fills
+  /// run serially), or the warmed cache's under a shared hold (`read_view`:
+  /// never fills, Unavailable on any miss). The caller holds the cache
+  /// mutex for the whole call; working through plain-pointer views keeps
+  /// the critical section checkable without annotating the fill lambdas.
+  /// With `warm_only` (WarmNames), stops after the name-pair fill — the
   /// element-pair scatter is left to shared-mode readers.
-  Result<LinguisticResult> MatchCachedImpl(const Schema& s1, const Schema& s2,
-                                           LsimCacheView* view,
-                                           bool warm_only = false) const;
+  Result<LinguisticResult> MatchCached(const Schema& s1, const Schema& s2,
+                                       LsimCacheView* view,
+                                       const LsimCacheReadView* read_view,
+                                       bool warm_only = false) const;
 
   const Thesaurus* thesaurus_;
   LinguisticOptions options_;

@@ -197,23 +197,12 @@ class LsimCacheReadView {
 
   const std::vector<NormalizedName>& names1() const { return side1_->names; }
   const std::vector<NormalizedName>& names2() const { return side2_->names; }
-  const std::vector<InternedName>& interned1() const {
-    return side1_->interned;
-  }
-  const std::vector<InternedName>& interned2() const {
-    return side2_->interned;
-  }
 
-  /// If the similarity of registered pair (i, j) has been computed, stores it
-  /// in `*ns` and returns true. Never computes.
-  bool NameSimilarityIfKnown(int32_t i, int32_t j, double* ns) const {
-    if (i < 0 || j < 0 || i >= known_->rows() || j >= known_->cols() ||
-        !(*known_)(i, j)) {
-      return false;
-    }
-    *ns = (*ns_)(i, j);
-    return true;
-  }
+  /// The name-pair similarity table and its computed-cell flags: ns(i, j)
+  /// is meaningful where known(i, j) is set. Registered indices are always
+  /// inside the table (exclusive passes grow it with the registries).
+  const Matrix<double>& ns() const { return *ns_; }
+  const Matrix<uint8_t>& known() const { return *known_; }
 
  private:
   friend class LsimCache;

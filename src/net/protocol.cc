@@ -61,9 +61,6 @@ Status ApplyConfigJson(const JsonValue& v, CupidConfig* out) {
     out->mapping.cardinality = MappingCardinality::kOneToOneStable;
   }
   out->SetNumThreads(static_cast<int>(config->GetInt("num_threads", 0)));
-  if (config->GetBool("strong_link_cache", false)) {
-    out->tree_match.use_strong_link_cache = true;
-  }
   return Status::OK();
 }
 

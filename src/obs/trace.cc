@@ -21,7 +21,7 @@ std::once_flag g_env_once;
 void CheckEnvOnce() {
   std::call_once(g_env_once, [] {
     if (g_sink.load(std::memory_order_acquire) == nullptr &&
-        (EnvFlag("CUPID_TRACE") || EnvFlag("CUPID_TRACE_INCREMENTAL"))) {
+        EnvFlag("CUPID_TRACE")) {
       // Leaked: the env-installed sink must outlive every span, including
       // ones emitted during static teardown.
       g_sink.store(new StderrTraceSink(), std::memory_order_release);

@@ -1,9 +1,7 @@
 // Scoped-span tracing: structured phase-boundary timings as JSONL records
 // to a pluggable sink, with a guaranteed zero-cost disabled path.
 //
-// The pre-obs tracing was four fprintf sites gated on
-// getenv("CUPID_TRACE_INCREMENTAL"), each with its own ad-hoc text format.
-// Spans replace those sites with one structured record shape
+// Spans give every traced phase one structured record shape
 // (docs/OBSERVABILITY.md lists the span taxonomy) while keeping the
 // non-negotiable property that observability never influences match
 // results: a span only reads clocks and writes to the sink; nothing in
@@ -26,9 +24,8 @@
 // Context: services install a TraceContext per request with
 // ScopedTraceContext (thread-local). Code running outside any installed
 // context — direct MatchSession use, CLI tools, tests — falls back to a
-// process-wide ambient context, which is what keeps the historical
-// CUPID_TRACE_INCREMENTAL behavior working: set the variable and every
-// traced phase logs to stderr, service or not.
+// process-wide ambient context: set CUPID_TRACE and every traced phase logs
+// to stderr, service or not.
 
 #ifndef CUPID_OBS_TRACE_H_
 #define CUPID_OBS_TRACE_H_
@@ -112,8 +109,8 @@ size_t FormatSpanJson(const SpanRecord& span, char* buf, size_t buf_size);
 void SetGlobalTraceSink(TraceSink* sink);
 
 /// The installed sink, after a one-time environment check: if CUPID_TRACE
-/// or CUPID_TRACE_INCREMENTAL is on and no sink was set programmatically,
-/// a StderrTraceSink is installed. nullptr means tracing is disabled.
+/// is on and no sink was set programmatically, a StderrTraceSink is
+/// installed. nullptr means tracing is disabled.
 TraceSink* GlobalTraceSink();
 
 /// True when a sink is installed (spans will be recorded and emitted).

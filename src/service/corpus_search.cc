@@ -7,11 +7,10 @@
 #include <unordered_set>
 #include <utility>
 
+#include "core/match_pipeline.h"
 #include "linguistic/normalizer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "structural/tree_match.h"
-#include "tree/tree_builder.h"
 #include "util/json.h"
 #include "util/strings.h"
 
@@ -70,18 +69,19 @@ struct CandidateScore {
   int64_t leaf_elements = 0;
 };
 
-/// Full three-phase match of (source, target) — the same pipeline as
-/// CupidMatcher::Match, with the linguistic phase optionally served from
-/// the shared cache: the warmed read path first, falling back to the
-/// exclusive cached path when the candidate misses (all three produce
-/// bit-identical lsim, so the score never depends on which path ran).
+/// Full match of (source, target) through the match pipeline, with the
+/// linguistic phase optionally served from the shared cache: the warmed
+/// read path first, falling back to the exclusive cached path when the
+/// candidate misses (all produce bit-identical lsim, so the score never
+/// depends on which path ran).
 Result<CandidateScore> ScoreCandidate(const Thesaurus* thesaurus,
                                       const CupidConfig& config,
                                       const Schema& source,
                                       const Schema& target,
                                       LsimCache* cache) {
-  LinguisticMatcher linguistic(thesaurus, config.linguistic);
-  LinguisticResult lres;
+  MatchInputs inputs;
+  obs::Counter* hits = nullptr;  // the shared cache's, when one is used
+  obs::Counter* misses = nullptr;
   if (cache != nullptr) {
     static obs::Counter* shared_hits = obs::MetricsRegistry::Default()->GetCounter(
         "cupid.corpus.shared_cache.hits",
@@ -89,43 +89,22 @@ Result<CandidateScore> ScoreCandidate(const Thesaurus* thesaurus,
     static obs::Counter* shared_misses = obs::MetricsRegistry::Default()->GetCounter(
         "cupid.corpus.shared_cache.misses",
         "Candidates that fell back to the exclusive cached path");
-    Result<LinguisticResult> warmed =
-        linguistic.MatchWarmed(source, target, *cache);
-    if (warmed.ok()) {
-      shared_hits->Increment();
-      lres = std::move(warmed).ValueOrDie();
-    } else if (warmed.status().IsUnavailable()) {
-      shared_misses->Increment();
-      CUPID_ASSIGN_OR_RETURN(lres, linguistic.Match(source, target, cache));
-    } else {
-      return warmed.status();
-    }
-  } else {
-    CUPID_ASSIGN_OR_RETURN(lres, linguistic.Match(source, target));
+    hits = shared_hits;
+    misses = shared_misses;
+    inputs.lsim = LsimSource::kSharedView;
+    inputs.cache = cache;
   }
-
-  CUPID_ASSIGN_OR_RETURN(SchemaTree source_tree,
-                         BuildSchemaTree(source, config.tree_build));
-  CUPID_ASSIGN_OR_RETURN(SchemaTree target_tree,
-                         BuildSchemaTree(target, config.tree_build));
-  CUPID_ASSIGN_OR_RETURN(
-      TreeMatchResult tmres,
-      TreeMatch(source_tree, target_tree, lres.lsim,
-                config.type_compatibility, config.tree_match));
-  CUPID_RETURN_NOT_OK(RecomputeNonLeafSimilarities(
-      source_tree, target_tree, config.tree_match, &tmres));
-
-  Mapping leaf_mapping, nonleaf_mapping;
-  CUPID_RETURN_NOT_OK(GenerateStandardMappings(source_tree, target_tree,
-                                               tmres, config, &leaf_mapping,
-                                               &nonleaf_mapping));
-
-  MatchResult result{std::move(source_tree), std::move(target_tree),
-                     std::move(lres),        std::move(tmres),
-                     std::move(leaf_mapping), std::move(nonleaf_mapping)};
   CandidateScore out;
-  out.score = CorpusRankingScore(result);
-  out.leaf_elements = static_cast<int64_t>(result.leaf_mapping.size());
+  CUPID_RETURN_NOT_OK(RunMatchPipeline(
+      thesaurus, config, source, target, inputs, "corpus.candidate",
+      [&](MatchRun run) {
+        if (hits != nullptr) {
+          (run.lsim == LsimSource::kSharedView ? hits : misses)->Increment();
+        }
+        out.score = CorpusRankingScore(run.result);
+        out.leaf_elements =
+            static_cast<int64_t>(run.result.leaf_mapping.size());
+      }));
   return out;
 }
 

@@ -8,7 +8,6 @@
 #include <unordered_map>
 
 #include "obs/trace.h"
-#include "perf/strong_link_cache.h"
 #include "tree/lazy_expansion.h"
 #include "util/id_runs.h"
 #include "util/thread_pool.h"
@@ -113,15 +112,6 @@ class TreeMatcher {
         t_frontier_(target, options.max_leaf_depth) {}
 
   TreeMatchResult Run(const Matrix<float>& element_lsim) {
-    // The bitset cache tracks the evolving leaf-pair link strengths only;
-    // depth-pruned frontiers consult interior wsim snapshots, which it
-    // cannot see, so it is restricted to true-leaf frontiers. The gather
-    // engine (RunIncremental) keeps leaf state in its own dense matrices
-    // the cache cannot observe, so only the from-scratch sweep builds one.
-    if (opt_.use_strong_link_cache && opt_.max_leaf_depth == 0) {
-      cache_ = std::make_unique<StrongLinkCache>(
-          s_, t_, opt_.th_accept, opt_.wstruct_leaf);
-    }
     TreeMatchResult result;
     result.sims = NodeSimilarities(s_.num_nodes(), t_.num_nodes());
     {
@@ -154,10 +144,6 @@ class TreeMatcher {
         }
       }
     }
-    if (cache_) {
-      result.stats.strong_link_queries = cache_->stats().queries;
-      result.stats.strong_link_rebuilds = cache_->stats().rebuilds;
-    }
     result.stats.link_tests = link_tests_;
     result.stats.scale_ops = scale_ops_;
     return result;
@@ -168,10 +154,6 @@ class TreeMatcher {
     // wsim and recompute non-leaf ssim from the final leaf state. The
     // integer tallies behind each ssim are recorded so a later incremental
     // run can adjust them instead of re-scanning.
-    if (opt_.use_strong_link_cache && opt_.max_leaf_depth == 0 && !cache_) {
-      cache_ = std::make_unique<StrongLinkCache>(
-          s_, t_, opt_.th_accept, opt_.wstruct_leaf);
-    }
     NodeSimilarities* sims = &result->sims;
     result->counts.strong = Matrix<int32_t>(s_.num_nodes(), t_.num_nodes());
     result->counts.included = Matrix<int32_t>(s_.num_nodes(), t_.num_nodes());
@@ -1326,70 +1308,12 @@ class TreeMatcher {
   /// two leaf sets with at least one strong link into the other set;
   /// optional leaves without strong links are dropped from both numerator
   /// and denominator when optional_discount is on.
-  /// Below this many link tests a naive early-break scan beats a bitset
-  /// probe (plus its amortized row rebuild); both give the same answer, so
-  /// the cache is consulted per side only when the scan it replaces is wide
-  /// (flat schemas, near-root pairs).
-  static constexpr size_t kCacheMinScan = 64;
-
   double StructuralSimilarity(const NodeSimilarities& sims, TreeNodeId ns,
                               TreeNodeId nt,
                               int32_t* strong_out = nullptr,
                               int32_t* included_out = nullptr) const {
-    const std::vector<LeafRef>& ls = s_frontier_.of(ns);
-    const std::vector<LeafRef>& lt = t_frontier_.of(nt);
-    const bool cache_src = cache_ != nullptr && lt.size() >= kCacheMinScan;
-    const bool cache_tgt = cache_ != nullptr && ls.size() >= kCacheMinScan;
-    int64_t strong = 0, included = 0;
-    for (const LeafRef& x : ls) {
-      bool has_link;
-      if (cache_src) {
-        has_link = cache_->SourceLeafHasLink(sims, x.leaf, nt);
-      } else {
-        has_link = false;
-        for (const LeafRef& y : lt) {
-          ++link_tests_;
-          if (LinkStrength(sims, x.leaf, y.leaf) >= opt_.th_accept) {
-            has_link = true;
-            break;
-          }
-        }
-      }
-      if (has_link) {
-        ++strong;
-        ++included;
-      } else if (!(opt_.optional_discount && x.optional)) {
-        ++included;
-      }
-    }
-    for (const LeafRef& y : lt) {
-      bool has_link;
-      if (cache_tgt) {
-        has_link = cache_->TargetLeafHasLink(sims, y.leaf, ns);
-      } else {
-        has_link = false;
-        for (const LeafRef& x : ls) {
-          ++link_tests_;
-          if (LinkStrength(sims, x.leaf, y.leaf) >= opt_.th_accept) {
-            has_link = true;
-            break;
-          }
-        }
-      }
-      if (has_link) {
-        ++strong;
-        ++included;
-      } else if (!(opt_.optional_discount && y.optional)) {
-        ++included;
-      }
-    }
-    if (strong_out != nullptr) {
-      *strong_out = static_cast<int32_t>(strong);
-      *included_out = static_cast<int32_t>(included);
-    }
-    return included == 0 ? 0.0
-                         : static_cast<double>(strong) /
-                               static_cast<double>(included);
+    return LinkFraction(sims, s_frontier_.of(ns), t_frontier_.of(nt),
+                        strong_out, included_out);
   }
 
   /// Section 8.4 fast path: structural similarity over the immediate
@@ -1403,29 +1327,52 @@ class TreeMatcher {
     for (TreeNodeId c : t_.node(nt).children) {
       lt.push_back({c, t_.node(c).optional});
     }
+    return LinkFraction(sims, ls, lt, nullptr, nullptr);
+  }
+
+  /// The one link-test scan: the fraction of `ls` and `lt` entries with a
+  /// strong link into the other list, with the integer tallies behind it.
+  double LinkFraction(const NodeSimilarities& sims,
+                      const std::vector<LeafRef>& ls,
+                      const std::vector<LeafRef>& lt, int32_t* strong_out,
+                      int32_t* included_out) const {
     int64_t strong = 0, included = 0;
-    auto side = [&](const std::vector<LeafRef>& from,
-                    const std::vector<LeafRef>& to, bool from_is_source) {
-      for (const LeafRef& x : from) {
-        bool has_link = false;
-        for (const LeafRef& y : to) {
-          double w = from_is_source ? LinkStrength(sims, x.leaf, y.leaf)
-                                    : LinkStrength(sims, y.leaf, x.leaf);
-          if (w >= opt_.th_accept) {
-            has_link = true;
-            break;
-          }
-        }
-        if (has_link) {
-          ++strong;
-          ++included;
-        } else if (!(opt_.optional_discount && x.optional)) {
-          ++included;
+    for (const LeafRef& x : ls) {
+      bool has_link = false;
+      for (const LeafRef& y : lt) {
+        ++link_tests_;
+        if (LinkStrength(sims, x.leaf, y.leaf) >= opt_.th_accept) {
+          has_link = true;
+          break;
         }
       }
-    };
-    side(ls, lt, true);
-    side(lt, ls, false);
+      if (has_link) {
+        ++strong;
+        ++included;
+      } else if (!(opt_.optional_discount && x.optional)) {
+        ++included;
+      }
+    }
+    for (const LeafRef& y : lt) {
+      bool has_link = false;
+      for (const LeafRef& x : ls) {
+        ++link_tests_;
+        if (LinkStrength(sims, x.leaf, y.leaf) >= opt_.th_accept) {
+          has_link = true;
+          break;
+        }
+      }
+      if (has_link) {
+        ++strong;
+        ++included;
+      } else if (!(opt_.optional_discount && y.optional)) {
+        ++included;
+      }
+    }
+    if (strong_out != nullptr) {
+      *strong_out = static_cast<int32_t>(strong);
+      *included_out = static_cast<int32_t>(included);
+    }
     return included == 0 ? 0.0
                          : static_cast<double>(strong) /
                                static_cast<double>(included);
@@ -1474,19 +1421,7 @@ class TreeMatcher {
     for (const LeafRef& x : s_.leaves(ns)) {
       for (const LeafRef& y : t_.leaves(nt)) {
         ++scale_ops_;
-        if (cache_) {
-          // Patch the link bits in place: this loop already visits the
-          // pair, while row-level invalidation would trigger full rebuilds
-          // after every feedback event. Saturated cells (0 stays 0, 1 stays
-          // 1 under c_inc) cannot move a bit, so they skip the update.
-          double before = sims->ssim(x.leaf, y.leaf);
-          sims->ScaleSsim(x.leaf, y.leaf, factor);
-          if (sims->ssim(x.leaf, y.leaf) != before) {
-            cache_->UpdatePair(*sims, x.leaf, y.leaf);
-          }
-        } else {
-          sims->ScaleSsim(x.leaf, y.leaf, factor);
-        }
+        sims->ScaleSsim(x.leaf, y.leaf, factor);
       }
     }
   }
@@ -1504,9 +1439,6 @@ class TreeMatcher {
         sims->set_wsim(copy, nt, sims->wsim(canon, nt));
       }
     }
-    // Whole leaf rows may have been overwritten; every target bitset holds
-    // one bit per source leaf, so conservatively drop everything.
-    if (cache_) cache_->InvalidateAll();
   }
 
   const SchemaTree& s_;
@@ -1515,9 +1447,6 @@ class TreeMatcher {
   TreeMatchOptions opt_;
   FrontierProvider s_frontier_;
   FrontierProvider t_frontier_;
-  /// Lazily rebuilt link bitsets; null when disabled or when depth-pruned
-  /// frontiers make it inapplicable. Mutated from const query paths.
-  std::unique_ptr<StrongLinkCache> cache_;
   /// Gather-engine state (incremental runs only): dense leaf-pair ssim and
   /// lsim over (dense source leaf, dense target leaf), plus the per-node
   /// clean flags of the event-replay fast path (the visit list itself lives

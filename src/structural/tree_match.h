@@ -70,15 +70,6 @@ struct TreeMatchOptions {
   /// immediate-children similarity reaches this threshold adopts it as ssim
   /// without scanning the leaf sets. 0 disables (default).
   double skip_leaves_threshold = 0.0;
-  /// Accelerate the leaf-set scans of structural similarity with per-leaf
-  /// accepted-link bitsets (perf/strong_link_cache.h). Results are identical
-  /// to the naive scan; only effective when max_leaf_depth == 0 (true-leaf
-  /// frontiers). Off by default: on every measured workload shape
-  /// (bench_scalability; docs/PERFORMANCE.md) the leaf-count and
-  /// categorization prunings keep the naive early-exit scans short enough
-  /// that the bitset amortization does not pay for itself. Kept as an
-  /// opt-in for extreme schemas (thousands of leaves under single nodes).
-  bool use_strong_link_cache = false;
   /// Worker threads for the parallel row fills (ProjectLsim, InitLeafSsim);
   /// 0 = all hardware threads. The TreeMatch sweep itself is inherently
   /// sequential (mutual recursion through leaf feedback).
@@ -94,8 +85,9 @@ struct TreeMatchStats {
   int64_t leaf_scans_skipped = 0;
   int64_t increases_applied = 0;
   int64_t decreases_applied = 0;
-  /// Leaf-pair link-strength evaluations performed by structural-similarity
-  /// scans (the dominant sweep cost on deep schemas).
+  /// Link-strength evaluations performed by structural-similarity scans
+  /// (the dominant sweep cost on deep schemas), including the child-level
+  /// scans of the skip_leaves_threshold fast path.
   int64_t link_tests = 0;
   /// Leaf-pair ssim cells rescaled by increase/decrease feedback.
   int64_t scale_ops = 0;
@@ -112,9 +104,6 @@ struct TreeMatchStats {
   /// Incremental runs only: node pairs whose feedback decision diverged from
   /// the previous run (their leaf blocks were re-marked dirty).
   int64_t feedback_divergences = 0;
-  /// Strong-link cache activity (0 when the cache is disabled).
-  int64_t strong_link_queries = 0;
-  int64_t strong_link_rebuilds = 0;
 };
 
 /// Per-pair integer tallies of the structural-similarity fraction
@@ -189,9 +178,9 @@ Status ValidateTreeMatchOptions(const TreeMatchOptions& options);
 /// \brief Cross-run warm-start input for TreeMatchIncremental, describing
 /// how the current trees relate to the previous run's trees.
 ///
-/// Built by incremental/match_session.cc (BuildTreeMatchDelta); consumed and
-/// MUTATED by TreeMatchIncremental: feedback divergences mark further leaf
-/// blocks dirty, and the post-sweep dirty set is exactly what
+/// Built by BuildTreeMatchDelta (incremental/tree_match_delta.h); consumed
+/// and MUTATED by TreeMatchIncremental: feedback divergences mark further
+/// leaf blocks dirty, and the post-sweep dirty set is exactly what
 /// RecomputeNonLeafSimilaritiesIncremental must then be called with.
 struct TreeMatchDelta {
   /// Per NEW tree node, the corresponding node of the previous run's tree
@@ -319,8 +308,8 @@ int PrevFeedbackDecision(const TreeMatchOptions& options,
 /// \brief True iff `options` are in the subset the incremental warm start
 /// supports: true-leaf frontiers (max_leaf_depth == 0), no
 /// skip-leaves fast path, no lazy expansion, no leaf-pair self-feedback.
-/// Everything else (threads, strong-link cache, thresholds, optional
-/// discounting, leaf-count pruning) composes with warm starts.
+/// Everything else (threads, thresholds, optional discounting, leaf-count
+/// pruning) composes with warm starts.
 bool SupportsIncrementalTreeMatch(const TreeMatchOptions& options);
 
 /// \brief TreeMatch warm-started from a previous run.

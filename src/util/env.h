@@ -8,11 +8,8 @@
 //
 // Known variables (all optional; defaults in parentheses):
 //
-//   CUPID_TRACE              (off)  enable the stderr JSONL span sink for
-//                                   every traced phase (see obs/trace.h).
-//   CUPID_TRACE_INCREMENTAL  (off)  compatibility alias for CUPID_TRACE —
-//                                   the pre-obs incremental-phase traces
-//                                   were gated on this name.
+//   CUPID_TRACE  (off)  enable the stderr JSONL span sink for every traced
+//                       phase (see obs/trace.h).
 //
 // Parsing contract: a flag is ON when the variable is set to anything
 // except "" / "0" / "false" / "off" / "no" (ASCII case-insensitive). The

@@ -1,17 +1,20 @@
 // Observability layer correctness: histogram bucket math, snapshot
 // determinism across updater thread counts, span nesting/ordering through
-// the trace sink, the guaranteed no-op disabled path, env-toggle parsing —
+// the trace sink, the guaranteed no-op disabled path, env-toggle parsing,
+// the match pipeline's one stage-span schema for cold and warm runs —
 // and the load-bearing property of the whole subsystem: tracing on vs off
 // is bit-identical through the full incremental match pipeline.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/config.h"
+#include "core/cupid_matcher.h"
 #include "eval/synthetic.h"
 #include "incremental/match_session.h"
 #include "obs/metrics.h"
@@ -277,6 +280,89 @@ TEST(EnvTest, FlagParsingContract) {
   setenv("CUPID_TEST_FLAG", "value", 1);
   EXPECT_EQ(EnvString("CUPID_TEST_FLAG", "fallback"), "value");
   unsetenv("CUPID_TEST_FLAG");
+}
+
+/// Value of `key` among a span's attributes; -1 when absent.
+double SpanAttr(const obs::SpanRecord& span, const char* key) {
+  for (size_t i = 0; i < span.attr_count; ++i) {
+    if (std::string(span.attrs[i].key) == key) return span.attrs[i].value;
+  }
+  return -1.0;
+}
+
+/// Cold matches, cold rematches and warm rematches all run the one match
+/// pipeline: each emits exactly one span with the same stage keys, the
+/// stages partition the span (they sum to its duration), and no stage's
+/// timer absorbs another's — the cold structural stages read nonzero.
+TEST(TraceTest, MatchSpansShareOneStageSchemaSummingToTheirDuration) {
+  SyntheticOptions opt;
+  opt.num_elements = 256;
+  opt.seed = 20261017;
+  SyntheticPair pair = GenerateSyntheticPair(opt);
+  Thesaurus thesaurus = DefaultThesaurus();
+  const CupidConfig config;
+  obs::VectorTraceSink sink;
+
+  // Runs `fn` traced and returns the one span named `name` it emitted.
+  auto traced_span = [&](const char* name, auto&& fn) {
+    sink.Clear();
+    {
+      ScopedSink installed(&sink);
+      fn();
+    }
+    std::vector<obs::SpanRecord> found;
+    for (const obs::SpanRecord& span : sink.spans()) {
+      if (std::string(span.name) == name) found.push_back(span);
+    }
+    EXPECT_EQ(found.size(), 1u) << name;
+    return found.empty() ? obs::SpanRecord{} : found.front();
+  };
+  auto expect_stage_schema = [](const obs::SpanRecord& span, bool cold,
+                                const std::string& what) {
+    static const char* const kStages[] = {
+        "linguistic_ms", "trees_ms",   "delta_ms",  "sweep_ms",
+        "recompute_ms",  "mapping_ms", "commit_ms"};
+    double sum = 0.0;
+    for (const char* key : kStages) {
+      const double ms = SpanAttr(span, key);
+      EXPECT_GE(ms, 0.0) << what << ": missing " << key;
+      sum += ms;
+    }
+    const double duration_ms = static_cast<double>(span.duration_us) / 1000.0;
+    EXPECT_NEAR(sum, duration_ms, std::max(0.05 * duration_ms, 0.2)) << what;
+    EXPECT_EQ(SpanAttr(span, "warm"), cold ? 0.0 : 1.0) << what;
+    EXPECT_GE(SpanAttr(span, "gathered_rows"), 0.0) << what;
+    if (cold) {
+      EXPECT_GT(SpanAttr(span, "sweep_ms"), 0.0) << what;
+      EXPECT_GT(SpanAttr(span, "recompute_ms"), 0.0) << what;
+    }
+  };
+
+  CupidMatcher matcher(&thesaurus, config);
+  expect_stage_schema(
+      traced_span("cupid.match",
+                  [&] {
+                    ASSERT_TRUE(matcher.Match(pair.source, pair.target).ok());
+                  }),
+      /*cold=*/true, "cold CupidMatcher::Match");
+
+  MatchSession session(&thesaurus, pair.source, pair.target, config);
+  expect_stage_schema(
+      traced_span("session.rematch",
+                  [&] { ASSERT_TRUE(session.Rematch().ok()); }),
+      /*cold=*/true, "cold MatchSession::Rematch");
+
+  ElementId leaf = 1;
+  while (!session.source().IsLeaf(leaf)) ++leaf;
+  ASSERT_TRUE(session
+                  .ApplyEdit(SchemaEdit::RenameElement(
+                      EditSide::kSource, session.source().PathName(leaf),
+                      "Quantity"))
+                  .ok());
+  expect_stage_schema(
+      traced_span("session.rematch",
+                  [&] { ASSERT_TRUE(session.Rematch().ok()); }),
+      /*cold=*/false, "warm MatchSession::Rematch");
 }
 
 /// The tentpole guarantee: tracing must never influence match results.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/cupid_matcher.h"
 #include "eval/metrics.h"
@@ -226,26 +227,57 @@ INSTANTIATE_TEST_SUITE_P(Thresholds, ThresholdProperty,
 // ------------------------------ incremental differential fuzz harness ----
 //
 // The gather/visit-list engine's contract: every warm Rematch is
-// bit-identical to from-scratch matching — matrices AND mappings — under
-// every cache combination (strong-link cache on/off, persistent lsim cache
-// on/off) and at 1/N threads. Seeded random schemas take random 20-edit
-// streams applied in batches of 1-3 edits per Rematch (incremental_test.cc
-// covers the one-edit-per-rematch cadence), and the harness additionally
-// asserts the gather fast paths actually engaged, so a silent fallback to
-// the slow path cannot masquerade as coverage.
+// bit-identical to from-scratch matching — matrices AND mappings — with the
+// persistent lsim cache on and off and at 1/N threads. Seeded random
+// schemas take 20-edit streams of one of two shapes: random batches of 1-3
+// edits per Rematch (incremental_test.cc covers the one-edit-per-rematch
+// cadence), or an AddElement plus a RemoveElement on the same side per
+// Rematch — the catch-up batch whose equal node count keeps the delta's
+// identity-first node maps in play while shifting every node between the
+// two edit points. The harness additionally asserts the gather fast paths
+// actually engaged, so a silent fallback to the slow path cannot
+// masquerade as coverage.
+
+enum class EditBatches { kRandom, kAddRemove };
 
 struct DiffCase {
-  bool strong_link_cache;
   bool lsim_cache;  // persistent perf/lsim cache; off = naive reference
   int threads;
   uint64_t seed;
+  EditBatches batches = EditBatches::kRandom;
 };
 
 std::string DiffCaseName(const testing::TestParamInfo<DiffCase>& info) {
   const DiffCase& c = info.param;
-  return std::string("sl") + (c.strong_link_cache ? "on" : "off") + "_lc" +
-         (c.lsim_cache ? "on" : "off") + "_t" + std::to_string(c.threads) +
-         "_seed" + std::to_string(c.seed);
+  return std::string(c.batches == EditBatches::kAddRemove ? "addrm_" : "") +
+         "lc" + (c.lsim_cache ? "on" : "off") + "_t" +
+         std::to_string(c.threads) + "_seed" + std::to_string(c.seed);
+}
+
+/// One edit of an add-plus-remove batch against the current `schema`: a
+/// fresh leaf under a random container, or the removal of a random subtree
+/// (an add again while the schema is too small to shrink).
+SchemaEdit AddOrRemoveEdit(SplitMix64* rng, const Schema& schema,
+                           EditSide side, bool add, int counter) {
+  auto unambiguous = [&](ElementId id) {
+    return schema.FindByPath(schema.PathName(id)) == id;
+  };
+  if (!add && schema.num_elements() > 10) {
+    ElementId victim = static_cast<ElementId>(
+        1 + rng->NextBounded(static_cast<uint64_t>(schema.num_elements() - 1)));
+    if (unambiguous(victim)) {
+      return SchemaEdit::RemoveElement(side, schema.PathName(victim));
+    }
+  }
+  ElementId parent = static_cast<ElementId>(
+      rng->NextBounded(static_cast<uint64_t>(schema.num_elements())));
+  if (!unambiguous(parent)) parent = 0;
+  Element leaf;
+  leaf.name = "Added" + std::to_string(counter);
+  leaf.kind = ElementKind::kAtomic;
+  leaf.data_type = DataType::kString;
+  return SchemaEdit::AddElement(side, schema.PathName(parent),
+                                std::move(leaf));
 }
 
 class IncrementalDifferentialProperty
@@ -255,7 +287,6 @@ TEST_P(IncrementalDifferentialProperty, TwentyEditStreamBitIdentical) {
   const DiffCase& c = GetParam();
   CupidConfig config;
   config.SetNumThreads(c.threads);
-  config.tree_match.use_strong_link_cache = c.strong_link_cache;
   config.linguistic.use_perf_cache = c.lsim_cache;
 
   SyntheticOptions opt;
@@ -271,16 +302,35 @@ TEST_P(IncrementalDifferentialProperty, TwentyEditStreamBitIdentical) {
   ASSERT_TRUE(session.Rematch().ok());
   bool gathered_lsim = false;
   bool warm_used = false;
+  // Twenty rematches either way: twenty single edits in random batches,
+  // or twenty add-plus-remove batches.
+  const int num_edits = c.batches == EditBatches::kAddRemove ? 40 : 20;
   int edits_applied = 0;
   int step = 0;
-  while (edits_applied < 20) {
-    int batch = 1 + static_cast<int>(rng.NextBounded(3));
-    for (int b = 0; b < batch && edits_applied < 20; ++b) {
-      SchemaEdit edit = RandomSessionEdit(&rng, session.source(),
-                                          session.target(), ++edits_applied);
-      ASSERT_TRUE(session.ApplyEdit(edit).ok())
-          << "seed " << c.seed << " edit " << edits_applied << " path "
-          << edit.path;
+  auto apply = [&](const SchemaEdit& edit) {
+    ++edits_applied;
+    ASSERT_TRUE(session.ApplyEdit(edit).ok())
+        << "seed " << c.seed << " edit " << edits_applied << " path "
+        << edit.path;
+  };
+  while (edits_applied < num_edits) {
+    if (c.batches == EditBatches::kAddRemove) {
+      const EditSide side =
+          rng.NextBounded(2) == 0 ? EditSide::kSource : EditSide::kTarget;
+      const bool add_first = rng.NextBounded(2) == 0;
+      for (bool add : {add_first, !add_first}) {
+        const Schema& schema =
+            side == EditSide::kSource ? session.source() : session.target();
+        apply(AddOrRemoveEdit(&rng, schema, side, add, edits_applied + 1));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    } else {
+      const int batch = 1 + static_cast<int>(rng.NextBounded(3));
+      for (int b = 0; b < batch && edits_applied < num_edits; ++b) {
+        apply(RandomSessionEdit(&rng, session.source(), session.target(),
+                                edits_applied + 1));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
     }
     auto inc = session.Rematch();
     ASSERT_TRUE(inc.ok()) << inc.status().ToString();
@@ -307,13 +357,18 @@ TEST_P(IncrementalDifferentialProperty, TwentyEditStreamBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(
     CacheMatrix, IncrementalDifferentialProperty,
     testing::Values(
-        // Every cache combination at one thread...
-        DiffCase{false, false, 1, 101}, DiffCase{false, true, 1, 102},
-        DiffCase{true, false, 1, 103}, DiffCase{true, true, 1, 104},
-        // ...the full-cache and no-cache corners at N threads...
-        DiffCase{true, true, 4, 105}, DiffCase{false, false, 4, 106},
-        // ...and extra seeds on the production configuration.
-        DiffCase{true, true, 1, 107}, DiffCase{false, true, 1, 108}),
+        // Both linguistic paths at one thread...
+        DiffCase{false, 1, 101}, DiffCase{true, 1, 102},
+        DiffCase{false, 1, 103}, DiffCase{true, 1, 104},
+        // ...both at N threads...
+        DiffCase{true, 4, 105}, DiffCase{false, 4, 106},
+        // ...extra seeds on the production configuration...
+        DiffCase{true, 1, 107}, DiffCase{true, 1, 108},
+        // ...and add-plus-remove catch-up batches.
+        DiffCase{true, 1, 2, EditBatches::kAddRemove},
+        DiffCase{true, 1, 17, EditBatches::kAddRemove},
+        DiffCase{false, 1, 4, EditBatches::kAddRemove},
+        DiffCase{true, 4, 10, EditBatches::kAddRemove}),
     DiffCaseName);
 
 }  // namespace

@@ -142,10 +142,9 @@ Status ValidateInputs(const MatchInputs& in) {
   }
   const bool needs_previous = in.lsim == LsimSource::kGather ||
                               in.structural == StructuralMode::kDelta;
-  if (needs_previous &&
-      (in.previous == nullptr || in.previous_sweep_ssim == nullptr)) {
+  if (needs_previous && in.previous == nullptr) {
     return Status::InvalidArgument(
-        "gather and delta runs need the previous run and its sweep ssim");
+        "gather and delta runs need the previous run");
   }
   if (in.lsim == LsimSource::kGather && in.hints != nullptr &&
       !in.hints->empty()) {
@@ -190,11 +189,8 @@ Status RunMatchPipeline(const Thesaurus* thesaurus, const CupidConfig& config,
 
   std::optional<TreeMatchDelta> delta;
   if (warm) {
-    delta.emplace(BuildTreeMatchDelta(
-        source_tree, target_tree, lres.lsim, prev->source_tree,
-        prev->target_tree, *in.previous_sweep_ssim, prev->tree_match.sims,
-        prev->linguistic.lsim, &prev->tree_match.counts, config.tree_match));
-    delta->prev_events = &prev->tree_match.events;
+    delta.emplace(
+        BuildTreeMatchDelta(source_tree, target_tree, lres.lsim, *prev));
   }
   const Clock::time_point t3 = Clock::now();
 
@@ -208,10 +204,6 @@ Status RunMatchPipeline(const Thesaurus* thesaurus, const CupidConfig& config,
     CUPID_ASSIGN_OR_RETURN(
         tmres, TreeMatch(source_tree, target_tree, lres.lsim,
                          config.type_compatibility, config.tree_match));
-  }
-  std::unique_ptr<Matrix<float>> sweep_ssim;
-  if (in.keep_sweep_ssim) {
-    sweep_ssim = std::make_unique<Matrix<float>>(tmres.sims.ssim_matrix());
   }
   const Clock::time_point t4 = Clock::now();
 
@@ -232,7 +224,7 @@ Status RunMatchPipeline(const Thesaurus* thesaurus, const CupidConfig& config,
   MatchRun run{MatchResult{std::move(source_tree), std::move(target_tree),
                            std::move(lres), std::move(tmres),
                            std::move(leaf_mapping), std::move(nonleaf_mapping)},
-               std::move(sweep_ssim), warm, served};
+               warm, served};
   const Clock::time_point t6 = Clock::now();
 
   commit(std::move(run));

@@ -20,7 +20,6 @@
 #define CUPID_CORE_MATCH_PIPELINE_H_
 
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "core/config.h"
@@ -103,21 +102,17 @@ struct MatchInputs {
   /// copies the previous run's (possibly boosted) lsim rows.
   const InitialMapping* hints = nullptr;
   StructuralMode structural = StructuralMode::kCold;
-  /// The previous run over this pair and its post-sweep ssim snapshot
-  /// (MatchRun::sweep_ssim), required by kGather and kDelta. Its schemas
+  /// The previous run over this pair, required by kGather and kDelta, and
+  /// the whole of their warm-start input: its trees, element lsim, final
+  /// similarities and counts, and its sweep's feedback events. Its schemas
   /// must still be alive; a side whose Schema object is the one the
   /// previous run matched reuses that run's tree instead of rebuilding.
   const MatchResult* previous = nullptr;
-  const Matrix<float>* previous_sweep_ssim = nullptr;
-  /// Keep this run's post-sweep ssim snapshot for a later kDelta run.
-  bool keep_sweep_ssim = false;
 };
 
 /// What a run hands to the commit stage.
 struct MatchRun {
   MatchResult result;
-  /// Post-sweep ssim snapshot (only with MatchInputs::keep_sweep_ssim).
-  std::unique_ptr<Matrix<float>> sweep_ssim;
   /// The structural stages ran warm (kDelta did not fall back).
   bool warm = false;
   /// The source that produced lsim (kCache after a kSharedView miss).

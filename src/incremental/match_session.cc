@@ -62,15 +62,12 @@ Result<const MatchResult*> MatchSession::Rematch() {
   if (result_ != nullptr) {
     inputs.structural = StructuralMode::kDelta;
     inputs.previous = result_.get();
-    inputs.previous_sweep_ssim = sweep_ssim_.get();
   }
-  inputs.keep_sweep_ssim = true;
 
   // Commit. The old result (and the old schemas it references) die here;
   // the new result references the schemas owned below.
   auto commit = [&](MatchRun run) {
     result_ = std::make_unique<MatchResult>(std::move(run.result));
-    sweep_ssim_ = std::move(run.sweep_ssim);
     if (work_source_) cur_source_ = std::move(work_source_);
     if (work_target_) cur_target_ = std::move(work_target_);
     stats_.incremental = run.warm;

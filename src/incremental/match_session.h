@@ -4,14 +4,15 @@
 // previous mapping back into a re-run; the serving pattern behind it is a
 // schema repository whose schemas change a few elements at a time. A
 // session owns one source/target pair plus all per-run state (token
-// interner, token-pair memo, name-level lsim table, similarity snapshots)
+// interner, token-pair memo, name-level lsim table, previous result)
 // and recomputes, after each batch of edits, only what those edits dirtied:
 //
 //   * linguistic phase — name-pair similarities persist in an LsimCache;
 //     new or renamed names miss, everything else is a table read;
 //   * structural phase — TreeMatch warm-starts from the previous run's
-//     similarity snapshots via a node correspondence and a dirty
-//     leaf-pair bitset (structural/tree_match.h, TreeMatchDelta);
+//     result (final similarities and counts, and the sweep's feedback
+//     events) via a node correspondence and a dirty leaf-pair bitset
+//     (structural/tree_match.h, TreeMatchDelta);
 //   * mapping generation — always re-derived (cheap, similarity-driven).
 //
 // Each Rematch is one run of the match pipeline (core/match_pipeline.h)
@@ -50,7 +51,7 @@ struct RematchStats {
   /// or when join views force the fallback).
   bool incremental = false;
   /// TreeMatch stats of the run (sweep + recompute combined). For warm
-  /// starts, pairs_reused counts node pairs served from the snapshots.
+  /// starts, pairs_reused counts node pairs taken from the previous run.
   TreeMatchStats tree_match;
   /// Cumulative distinct name pairs memoized by the session's LsimCache.
   int64_t lsim_cached_pairs = 0;
@@ -100,12 +101,8 @@ class MatchSession {
   std::unique_ptr<Schema> work_source_, work_target_;
   /// Schemas of the last match, alive as long as result_ references them.
   std::unique_ptr<Schema> cur_source_, cur_target_;
-  /// Last match output plus the post-sweep ssim snapshot the next warm
-  /// start seeds from (result_->tree_match.sims is the *final*,
-  /// post-recompute state; only the sweep-stage ssim matrix is consulted
-  /// across runs, so only it is kept).
+  /// Last match output: the whole warm-start input of the next Rematch.
   std::unique_ptr<MatchResult> result_;
-  std::unique_ptr<Matrix<float>> sweep_ssim_;
   RematchStats stats_;
 };
 

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "core/match_pipeline.h"
 #include "linguistic/linguistic_matcher.h"
 #include "util/path_map.h"
 
@@ -94,25 +95,19 @@ void ComputeReusable(const SchemaTree& nw, const SchemaTree& old,
 }  // namespace
 
 /// Assembles the warm-start input: node correspondence, reusable flags, and
-/// the seed dirty set (new/retyped leaves as whole rows/columns, changed
-/// lsim cells pointwise, and the blocks of feedback events fired by old
-/// nodes that have no new counterpart).
+/// the seed dirty set (invalid leaves as whole rows/columns, changed lsim
+/// cells pointwise).
 TreeMatchDelta BuildTreeMatchDelta(const SchemaTree& snew,
                                    const SchemaTree& tnew,
                                    const Matrix<float>& element_lsim,
-                                   const SchemaTree& sold,
-                                   const SchemaTree& told,
-                                   const Matrix<float>& prev_sweep_ssim,
-                                   const NodeSimilarities& prev_final,
-                                   const Matrix<float>& prev_element_lsim,
-                                   const StructuralCounts* prev_final_counts,
-                                   const TreeMatchOptions& options) {
+                                   const MatchResult& previous) {
+  const SchemaTree& sold = previous.source_tree;
+  const SchemaTree& told = previous.target_tree;
+  const Matrix<float>& prev_element_lsim = previous.linguistic.lsim;
   TreeMatchDelta d;
   d.prev_source = &sold;
   d.prev_target = &told;
-  d.prev_sweep_ssim = &prev_sweep_ssim;
-  d.prev_final = &prev_final;
-  d.prev_final_counts = prev_final_counts;
+  d.prev = &previous.tree_match;
   MapByPath(snew, sold, &d.source_map);
   MapByPath(tnew, told, &d.target_map);
 
@@ -160,10 +155,13 @@ TreeMatchDelta BuildTreeMatchDelta(const SchemaTree& snew,
   // init ssim row then starts out equal to the previous run's, and every
   // feedback event that ever scales its cells comes from an ancestor pair
   // whose decision the sweep compares against the corresponding old pair.
-  // An identity-first map after an add-plus-remove batch can pair a leaf
-  // with a shifted neighbour under another parent: its cells then gain or
-  // lose old feedback that no decision comparison sees, so the whole
-  // row/column is rescanned.
+  // Anything else dirties the whole row/column: an identity-first map
+  // after an add-plus-remove batch can pair a leaf with a shifted
+  // neighbour under another parent, and a leaf below an old node that lost
+  // its counterpart (a removed node, or one whose path became ambiguous)
+  // carries feedback that node fired, which no new pair replays. The warm
+  // path sees pure trees (join views force a cold run), so no other old
+  // feedback can reach a valid leaf.
   auto leaf_valid = [](const SchemaTree& nw, const SchemaTree& old,
                        const std::vector<TreeNodeId>& map, TreeNodeId x) {
     TreeNodeId o = map[static_cast<size_t>(x)];
@@ -268,71 +266,6 @@ TreeMatchDelta BuildTreeMatchDelta(const SchemaTree& snew,
           mark_lsim_cell(x, col.y);
         }
       }
-    }
-  }
-
-  // Reverse coverage: the sweep's runtime divergence check compares each
-  // NEW pair's feedback against its OLD counterpart, so feedback fired by
-  // old nodes with no new counterpart ("orphans" — removed nodes, or nodes
-  // whose path became ambiguous) would go unseen. Re-derive those events
-  // from the previous snapshot and dirty everything they scaled. Orphaned
-  // LEAVES need nothing here: their surviving partners' rows/columns are
-  // handled above, and their own cells are gone.
-  std::vector<uint8_t> covered_s(static_cast<size_t>(sold.num_nodes()), 0);
-  std::vector<uint8_t> covered_t(static_cast<size_t>(told.num_nodes()), 0);
-  for (TreeNodeId n = 0; n < snew.num_nodes(); ++n) {
-    if (d.source_map[static_cast<size_t>(n)] != kNoTreeNode) {
-      covered_s[static_cast<size_t>(d.source_map[static_cast<size_t>(n)])] = 1;
-    }
-  }
-  for (TreeNodeId n = 0; n < tnew.num_nodes(); ++n) {
-    if (d.target_map[static_cast<size_t>(n)] != kNoTreeNode) {
-      covered_t[static_cast<size_t>(d.target_map[static_cast<size_t>(n)])] = 1;
-    }
-  }
-  std::vector<TreeNodeId> old2new_s(static_cast<size_t>(sold.num_nodes()),
-                                    kNoTreeNode);
-  std::vector<TreeNodeId> old2new_t(static_cast<size_t>(told.num_nodes()),
-                                    kNoTreeNode);
-  for (size_t j = 0; j < d.source_leaves->num_leaves(); ++j) {
-    TreeNodeId x = d.source_leaves->leaf(j);
-    TreeNodeId o = d.source_map[static_cast<size_t>(x)];
-    if (o != kNoTreeNode) old2new_s[static_cast<size_t>(o)] = x;
-  }
-  for (size_t j = 0; j < d.target_leaves->num_leaves(); ++j) {
-    TreeNodeId y = d.target_leaves->leaf(j);
-    TreeNodeId o = d.target_map[static_cast<size_t>(y)];
-    if (o != kNoTreeNode) old2new_t[static_cast<size_t>(o)] = y;
-  }
-  // Did the old sweep fire increase/decrease feedback at (os, ot)?
-  // (PrevFeedbackDecision holds ComparePair's exact decision arithmetic.)
-  auto old_feedback_fired = [&](TreeNodeId os, TreeNodeId ot) {
-    return PrevFeedbackDecision(options, sold, told, prev_sweep_ssim,
-                                prev_final, os, ot) != 0;
-  };
-  auto dirty_old_block = [&](TreeNodeId os, TreeNodeId ot) {
-    for (const LeafRef& lx : sold.leaves(os)) {
-      TreeNodeId nx = old2new_s[static_cast<size_t>(lx.leaf)];
-      if (nx == kNoTreeNode) continue;  // removed/unmapped: already dirty
-      for (const LeafRef& ly : told.leaves(ot)) {
-        TreeNodeId ny = old2new_t[static_cast<size_t>(ly.leaf)];
-        if (ny == kNoTreeNode) continue;
-        d.MarkPairDirty(nx, ny);
-      }
-    }
-  };
-  for (TreeNodeId os = 0; os < sold.num_nodes(); ++os) {
-    if (covered_s[static_cast<size_t>(os)] || sold.IsLeaf(os)) continue;
-    for (TreeNodeId ot = 0; ot < told.num_nodes(); ++ot) {
-      if (old_feedback_fired(os, ot)) dirty_old_block(os, ot);
-    }
-  }
-  for (TreeNodeId ot = 0; ot < told.num_nodes(); ++ot) {
-    if (covered_t[static_cast<size_t>(ot)] || told.IsLeaf(ot)) continue;
-    for (TreeNodeId os = 0; os < sold.num_nodes(); ++os) {
-      // Orphan-source pairs were handled by the loop above.
-      if (!covered_s[static_cast<size_t>(os)] && !sold.IsLeaf(os)) continue;
-      if (old_feedback_fired(os, ot)) dirty_old_block(os, ot);
     }
   }
 

@@ -12,22 +12,19 @@
 
 namespace cupid {
 
+struct MatchResult;
+
 /// \brief Builds the warm-start input relating the new trees to the
-/// previous run's state: node correspondence, reusable flags, seeded dirty
-/// leaf pairs, and snapshot pointers. `prev_element_lsim` is the previous
-/// run's ELEMENT-level lsim table; changed cells are found by diffing it
-/// row-wise against `element_lsim` under the element correspondence (rows
-/// that are bitwise identical are dismissed with one memcmp).
+/// previous run: node correspondence, reusable flags and seeded dirty leaf
+/// pairs, with pointers into `previous` (trees, final similarities and
+/// counts, sweep events), which must outlive the delta. Changed lsim cells
+/// are found by diffing `element_lsim` row-wise against the previous run's
+/// ELEMENT-level lsim under the element correspondence (rows that are
+/// bitwise identical are dismissed with one memcmp).
 TreeMatchDelta BuildTreeMatchDelta(const SchemaTree& new_source,
                                    const SchemaTree& new_target,
                                    const Matrix<float>& element_lsim,
-                                   const SchemaTree& prev_source,
-                                   const SchemaTree& prev_target,
-                                   const Matrix<float>& prev_sweep_ssim,
-                                   const NodeSimilarities& prev_final,
-                                   const Matrix<float>& prev_element_lsim,
-                                   const StructuralCounts* prev_final_counts,
-                                   const TreeMatchOptions& options);
+                                   const MatchResult& previous);
 
 }  // namespace cupid
 

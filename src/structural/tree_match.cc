@@ -206,6 +206,7 @@ class TreeMatcher {
     TreeMatchResult result;
     result.sims = NodeSimilarities(s_.num_nodes(), t_.num_nodes());
     auto t0 = std::chrono::steady_clock::now();
+    IndexPrevEvents(*delta);
     ProjectLsimGather(element_lsim, *delta, &result.sims);
     auto t1 = std::chrono::steady_clock::now();
     InitLeafSsimDense(*delta);
@@ -217,24 +218,17 @@ class TreeMatcher {
     // With the previous sweep's event list and per-node clean flags, only
     // non-clean pairs re-enter the full per-pair body: clean pairs either
     // replay their recorded event (one block scaling) or are skipped
-    // outright — their decision provably reproduces, and the bulk-copied
-    // snapshot rows already hold their post-sweep ssim. Without events
-    // (tests driving the engine directly), every visit pair runs the body.
-    // The replay merge additionally assumes mapped nodes keep their
-    // RELATIVE post-order across runs (fact (1)). A correspondence that
-    // violates it — conceivable after shape-changing remove+add batches
-    // under the identity-first maps — could let the merge's skip pointer
-    // run past a clean pair's recorded event and silently drop its
-    // replay. Verify the invariant in O(N) per side and fall back to the
-    // full per-pair loop when it fails (bit-identical, just slower).
+    // outright — their decision provably reproduces. The replay
+    // additionally assumes mapped nodes keep their RELATIVE post-order
+    // across runs (fact (1)). A correspondence that violates it —
+    // conceivable after shape-changing remove+add batches under the
+    // identity-first maps — could reorder a clean cell's scalings or let a
+    // row's merge run past a clean pair's recorded event and silently drop
+    // its replay. Verify the invariant in O(N) per side and fall back to
+    // the full per-pair loop when it fails (bit-identical, just slower).
     auto order_preserved = [](const std::vector<TreeNodeId>& order,
                               const std::vector<TreeNodeId>& map,
-                              const SchemaTree& prev) {
-      std::vector<int32_t> opos(static_cast<size_t>(prev.num_nodes()), 0);
-      int32_t i = 0;
-      for (TreeNodeId o : prev.post_order()) {
-        opos[static_cast<size_t>(o)] = i++;
-      }
+                              const std::vector<int32_t>& opos) {
       int32_t last = -1;
       for (TreeNodeId n : order) {
         TreeNodeId o = map[static_cast<size_t>(n)];
@@ -245,15 +239,9 @@ class TreeMatcher {
       return true;
     };
     const bool can_replay =
-        delta->prev_events != nullptr &&
-        !delta->source_lsim_same.empty() &&
-        !delta->target_lsim_same.empty() &&
-        order_preserved(s_.post_order(), delta->source_map,
-                        *delta->prev_source) &&
-        order_preserved(t_.post_order(), delta->target_map,
-                        *delta->prev_target);
+        order_preserved(s_.post_order(), delta->source_map, prev_spos_) &&
+        order_preserved(t_.post_order(), delta->target_map, prev_tpos_);
     if (can_replay) {
-      GatherSweepSsim(*delta, &result.sims);
       DeriveCleanFlags(*delta);
       ReplayLoop(delta, &result);
     } else {
@@ -315,11 +303,7 @@ class TreeMatcher {
     NodeSimilarities* sims = &result->sims;
     TreeMatchStats* stats = &result->stats;
     const int64_t num_s = s_.num_nodes(), num_t = t_.num_nodes();
-    const StructuralCounts* prev_counts = delta.prev_final_counts;
-    const bool have_counts =
-        prev_counts != nullptr &&
-        prev_counts->strong.rows() == delta.prev_source->num_nodes() &&
-        prev_counts->strong.cols() == delta.prev_target->num_nodes();
+    const StructuralCounts& prev_counts = delta.prev->counts;
     // Identity maps (rename/retype edit streams) let the counts start as a
     // straight copy of the previous run's — one memcpy each instead of a
     // zero fill plus per-row copies. Cells the copy "seeds wrong" are
@@ -332,12 +316,11 @@ class TreeMatcher {
       return true;
     };
     const bool identity_maps =
-        have_counts &&
         identity(delta.source_map, delta.prev_source->num_nodes()) &&
         identity(delta.target_map, delta.prev_target->num_nodes());
     if (identity_maps) {
-      result->counts.strong = prev_counts->strong;
-      result->counts.included = prev_counts->included;
+      result->counts.strong = prev_counts.strong;
+      result->counts.included = prev_counts.included;
     } else {
       result->counts.strong = Matrix<int32_t>(num_s, num_t);
       result->counts.included = Matrix<int32_t>(num_s, num_t);
@@ -367,8 +350,8 @@ class TreeMatcher {
     }
     Matrix<float>* ssim_m = sims->mutable_ssim_matrix();
     Matrix<float>* wsim_m = sims->mutable_wsim_matrix();
-    const Matrix<float>& prev_ssim = delta.prev_final->ssim_matrix();
-    const Matrix<float>& prev_wsim = delta.prev_final->wsim_matrix();
+    const Matrix<float>& prev_ssim = delta.prev->sims.ssim_matrix();
+    const Matrix<float>& prev_wsim = delta.prev->sims.wsim_matrix();
     for (TreeNodeId ns = 0; ns < num_s; ++ns) {
       TreeNodeId os = delta.source_map[static_cast<size_t>(ns)];
       if (os == kNoTreeNode) continue;
@@ -381,12 +364,12 @@ class TreeMatcher {
           std::memcpy(ssim_m->row(ns) + run.dst, prev_ssim.row(os) + run.src,
                       bytes);
         }
-        if (have_counts && !identity_maps) {
+        if (!identity_maps) {
           size_t ibytes = static_cast<size_t>(run.len) * sizeof(int32_t);
           std::memcpy(result->counts.strong.row(ns) + run.dst,
-                      prev_counts->strong.row(os) + run.src, ibytes);
+                      prev_counts.strong.row(os) + run.src, ibytes);
           std::memcpy(result->counts.included.row(ns) + run.dst,
-                      prev_counts->included.row(os) + run.src, ibytes);
+                      prev_counts.included.row(os) + run.src, ibytes);
         }
       }
       if (leaf_row) {
@@ -444,16 +427,12 @@ class TreeMatcher {
     // ---- visit list: clean-skip / reuse / tally adjustment / rescan -----
     // Clean-pair test as in the sweep, over the POST-sweep dirty state: a
     // clean x clean pair's gathered ssim/wsim/counts are bitwise what the
-    // reuse branch would write, so the pair costs two flag loads. Without
-    // previous counts nothing can be reused at all (matching the branch
-    // conditions below), so the skip is disabled too.
-    const bool can_skip = have_counts && !delta.source_lsim_same.empty() &&
-                          !delta.target_lsim_same.empty();
-    if (can_skip) DeriveCleanFlags(delta);
+    // reuse branch would write, so the pair costs two flag loads.
+    DeriveCleanFlags(delta);
     for (TreeNodeId ns : s_.post_order()) {
       const int32_t begin = delta.visit_begin[static_cast<size_t>(ns)];
       const int32_t end = delta.visit_end[static_cast<size_t>(ns)];
-      const bool row_clean = can_skip && s_clean_[static_cast<size_t>(ns)];
+      const bool row_clean = s_clean_[static_cast<size_t>(ns)];
       for (int32_t i = begin; i < end; ++i) {
         TreeNodeId nt = delta.visit_data[static_cast<size_t>(i)];
         if (row_clean && t_clean_[static_cast<size_t>(nt)]) {
@@ -464,17 +443,17 @@ class TreeMatcher {
         TreeNodeId ot = delta.target_map[static_cast<size_t>(nt)];
         int32_t& strong = result->counts.strong(ns, nt);
         int32_t& included = result->counts.included(ns, nt);
-        if (have_counts && CanReuse(*sims, delta, ns, nt)) {
+        if (CanReuse(*sims, delta, ns, nt)) {
           // Gathered ssim/wsim/counts already hold the previous final
           // values this branch would copy; only a leaf row's skipped ssim
           // cell still needs the explicit write.
           if (s_.IsLeaf(ns)) {
-            sims->set_ssim(ns, nt, delta.prev_final->ssim(os, ot));
+            sims->set_ssim(ns, nt, delta.prev->sims.ssim(os, ot));
           }
           ++stats->pairs_reused;
           continue;
         }
-        if (have_counts && os != kNoTreeNode && ot != kNoTreeNode &&
+        if (os != kNoTreeNode && ot != kNoTreeNode &&
             // The old pair must have been scanned as a non-leaf pair for
             // its tallies to exist at all.
             !(delta.prev_source->IsLeaf(os) &&
@@ -522,27 +501,57 @@ class TreeMatcher {
                              d.prev_target->leaves(ot).size());
   }
 
+  /// Post-order position of every node of `tree`.
+  static std::vector<int32_t> PostOrderPositions(const SchemaTree& tree) {
+    std::vector<int32_t> pos(static_cast<size_t>(tree.num_nodes()), 0);
+    int32_t i = 0;
+    for (TreeNodeId n : tree.post_order()) pos[static_cast<size_t>(n)] = i++;
+    return pos;
+  }
+
+  /// Indexes the previous sweep's events by source node in O(nodes +
+  /// events): they fired grouped by source, so each old source's events
+  /// form one slice, ordered by target post-order position.
+  void IndexPrevEvents(const TreeMatchDelta& d) {
+    prev_spos_ = PostOrderPositions(*d.prev_source);
+    prev_tpos_ = PostOrderPositions(*d.prev_target);
+    const std::vector<FeedbackEvent>& events = d.prev->events;
+    const size_t num_os = static_cast<size_t>(d.prev_source->num_nodes());
+    ev_begin_.assign(num_os, 0);
+    ev_end_.assign(num_os, 0);
+    for (size_t k = 0; k < events.size(); ++k) {
+      const size_t os = static_cast<size_t>(events[k].source);
+      if (k == 0 || events[k - 1].source != events[k].source) {
+        ev_begin_[os] = static_cast<int32_t>(k);
+      }
+      ev_end_[os] = static_cast<int32_t>(k + 1);
+    }
+  }
+
   /// The previous run's feedback decision at the pair corresponding to
-  /// (ns, nt); kNone when the pair had no counterpart or was pruned. The
-  /// wsim double is rebuilt from the stored floats with ComparePair's exact
-  /// arithmetic, so threshold comparisons reproduce the old decision even
-  /// at rounding boundaries.
+  /// (ns, nt): its event's direction, or kNone when it fired none (leaf,
+  /// pruned or between-threshold pairs, or no counterpart at all). One
+  /// binary search within the old source's event slice.
   Feedback PrevFeedback(const TreeMatchDelta& d, TreeNodeId ns,
                         TreeNodeId nt) const {
     TreeNodeId os = d.source_map[static_cast<size_t>(ns)];
     TreeNodeId ot = d.target_map[static_cast<size_t>(nt)];
     if (os == kNoTreeNode || ot == kNoTreeNode) return Feedback::kNone;
-    int decision =
-        PrevFeedbackDecision(opt_, *d.prev_source, *d.prev_target,
-                             *d.prev_sweep_ssim, *d.prev_final, os, ot);
-    return decision > 0 ? Feedback::kIncrease
-                        : (decision < 0 ? Feedback::kDecrease
-                                        : Feedback::kNone);
+    const std::vector<FeedbackEvent>& events = d.prev->events;
+    const auto end = events.begin() + ev_end_[static_cast<size_t>(os)];
+    const int32_t key = prev_tpos_[static_cast<size_t>(ot)];
+    auto it = std::lower_bound(
+        events.begin() + ev_begin_[static_cast<size_t>(os)], end, key,
+        [&](const FeedbackEvent& e, int32_t k) {
+          return prev_tpos_[static_cast<size_t>(e.target)] < k;
+        });
+    if (it == end || it->target != ot) return Feedback::kNone;
+    return it->direction > 0 ? Feedback::kIncrease : Feedback::kDecrease;
   }
 
   /// Clean-pair test: both endpoints reusable, same projected lsim, and no
   /// dirty leaf pair inside the block. lsim is immutable once projected, so
-  /// the previous FINAL matrix supplies the old value.
+  /// the previous final matrix supplies the old value.
   bool CanReuse(const NodeSimilarities& sims, const TreeMatchDelta& d,
                 TreeNodeId ns, TreeNodeId nt) const {
     if (!d.source_reusable[static_cast<size_t>(ns)] ||
@@ -551,7 +560,7 @@ class TreeMatcher {
     }
     TreeNodeId os = d.source_map[static_cast<size_t>(ns)];
     TreeNodeId ot = d.target_map[static_cast<size_t>(nt)];
-    if (sims.lsim(ns, nt) != d.prev_final->lsim(os, ot)) return false;
+    if (sims.lsim(ns, nt) != d.prev->sims.lsim(os, ot)) return false;
     return !d.dirty->AnyInBlock(ns, nt);
   }
 
@@ -562,11 +571,11 @@ class TreeMatcher {
     return opt_.wstruct_leaf * sims.ssim(x, y) +
            (1.0 - opt_.wstruct_leaf) * sims.lsim(x, y);
   }
-  /// Same over the previous run's final snapshot.
+  /// Same over the previous run's final similarities.
   double PrevFinalLeafStrength(const TreeMatchDelta& d, TreeNodeId ox,
                                TreeNodeId oy) const {
-    return opt_.wstruct_leaf * d.prev_final->ssim(ox, oy) +
-           (1.0 - opt_.wstruct_leaf) * d.prev_final->lsim(ox, oy);
+    return opt_.wstruct_leaf * d.prev->sims.ssim(ox, oy) +
+           (1.0 - opt_.wstruct_leaf) * d.prev->sims.lsim(ox, oy);
   }
 
   /// \brief Recompute-pass structural similarity by adjusting the previous
@@ -581,8 +590,8 @@ class TreeMatcher {
                                    TreeNodeId nt, TreeNodeId os,
                                    TreeNodeId ot, int32_t* strong_out,
                                    int32_t* included_out) const {
-    int64_t strong = d.prev_final_counts->strong(os, ot);
-    int64_t included = d.prev_final_counts->included(os, ot);
+    int64_t strong = d.prev->counts.strong(os, ot);
+    int64_t included = d.prev->counts.included(os, ot);
     const double th = opt_.th_accept;
 
     // Membership changes on one side alter the scan universe of the OTHER
@@ -734,32 +743,25 @@ class TreeMatcher {
     // feature-changed target columns — the only ones a copied row could get
     // wrong — are re-projected individually, and every other row falls
     // back to the fresh projection.
-    const bool can_copy = !d.source_lsim_same.empty() &&
-                          !d.target_lsim_same.empty() &&
-                          d.prev_final != nullptr;
-    std::vector<IdRun> runs;
+    const std::vector<IdRun> runs = BuildMappedIdRuns(d.target_map);
+    // Unmapped columns (outside every run) and feature-changed mapped
+    // columns both need the fresh projection.
     std::vector<TreeNodeId> fix_cols;
-    if (can_copy) {
-      runs = BuildMappedIdRuns(d.target_map);
-      // Unmapped columns (outside every run) and feature-changed mapped
-      // columns both need the fresh projection.
-      for (TreeNodeId nt = 0; nt < num_t; ++nt) {
-        if (!d.target_lsim_same[static_cast<size_t>(nt)] &&
-            t_el[static_cast<size_t>(nt)] != kNoElement) {
-          fix_cols.push_back(nt);
-        }
+    for (TreeNodeId nt = 0; nt < num_t; ++nt) {
+      if (!d.target_lsim_same[static_cast<size_t>(nt)] &&
+          t_el[static_cast<size_t>(nt)] != kNoElement) {
+        fix_cols.push_back(nt);
       }
     }
-    const Matrix<float>* prev_lsim =
-        can_copy ? &d.prev_final->lsim_matrix() : nullptr;
+    const Matrix<float>& prev_lsim = d.prev->sims.lsim_matrix();
     for (TreeNodeId ns = 0; ns < s_.num_nodes(); ++ns) {
       ElementId es = s_.node(ns).source;
       if (es == kNoElement) continue;
       const float* erow = element_lsim.row(es);
       float* lrow = lsim_m->row(ns);
-      if (can_copy && d.source_lsim_same[static_cast<size_t>(ns)]) {
+      if (d.source_lsim_same[static_cast<size_t>(ns)]) {
         const float* prow =
-            prev_lsim->row(d.source_map[static_cast<size_t>(ns)]);
+            prev_lsim.row(d.source_map[static_cast<size_t>(ns)]);
         for (const IdRun& run : runs) {
           std::memcpy(lrow + run.dst, prow + run.src,
                       static_cast<size_t>(run.len) * sizeof(float));
@@ -921,27 +923,24 @@ class TreeMatcher {
 
   /// One visit-list pair of the warm sweep: reuse or rescan, divergence
   /// check, feedback replay. Identical decisions and leaf-state evolution
-  /// to the legacy ComparePairIncremental; sweep-stage wsim is computed for
-  /// the feedback decision but not stored (nothing consumes it — the
-  /// recompute pass produces every final wsim).
+  /// to ComparePair. A reused pair's leaf block and lsim equal the previous
+  /// run's pair, so it takes the previous decision; a rescanned pair mixes
+  /// its wsim exactly as ComparePair does (from the float-stored ssim).
+  /// Neither value is stored: the recompute pass writes every final
+  /// non-leaf cell.
   void VisitPair(TreeNodeId ns, TreeNodeId nt, TreeMatchDelta* d,
                  TreeMatchResult* result) {
-    NodeSimilarities& sims = result->sims;
-    bool reused = false;
-    if (CanReuse(sims, *d, ns, nt)) {
-      sims.set_ssim(ns, nt,
-                    (*d->prev_sweep_ssim)(
-                        d->source_map[static_cast<size_t>(ns)],
-                        d->target_map[static_cast<size_t>(nt)]));
-      reused = true;
+    ++result->stats.pairs_compared;
+    const Feedback prev = PrevFeedback(*d, ns, nt);
+    Feedback f = prev;
+    if (CanReuse(result->sims, *d, ns, nt)) {
       ++result->stats.pairs_reused;
     } else {
-      sims.set_ssim(ns, nt, SweepStructuralSimilarity(*d, ns, nt));
+      const float ssim =
+          static_cast<float>(SweepStructuralSimilarity(*d, ns, nt));
+      f = Classify(MixWsim(result->sims, ns, nt, ssim, false));
     }
-    ++result->stats.pairs_compared;
-    double wsim = MixWsim(sims, ns, nt, sims.ssim(ns, nt), false);
-    Feedback f = Classify(wsim);
-    if (!reused && f != PrevFeedback(*d, ns, nt)) {
+    if (f != prev) {
       // The feedback history of every leaf pair under this one now differs
       // from the previous run; nothing below may be reused any more — the
       // per-node clean flags must be re-derived before the next skip.
@@ -957,29 +956,6 @@ class TreeMatcher {
       ScaleBlockDense(*d, ns, nt, opt_.c_dec);
       result->events.push_back({ns, nt, int8_t{-1}});
       ++result->stats.decreases_applied;
-    }
-  }
-
-  /// Bulk-copies the previous post-sweep ssim into the new matrix for every
-  /// mapped row. The replay loop then writes only non-clean pairs; every
-  /// skipped pair's snapshot cell already holds its bit-identical value.
-  /// Cells of pairs pruned or leaf-paired NOW are never consulted by the
-  /// next run's divergence checks (they test prune/leaf status before
-  /// reading), so stale copies there are harmless, and leaf-pair cells are
-  /// overwritten by ScatterLeafSsim at the end of the sweep.
-  void GatherSweepSsim(const TreeMatchDelta& d, NodeSimilarities* sims) {
-    Matrix<float>* ssim_m = sims->mutable_ssim_matrix();
-    const Matrix<float>& prev = *d.prev_sweep_ssim;
-    std::vector<IdRun> runs = BuildMappedIdRuns(d.target_map);
-    for (TreeNodeId ns = 0; ns < s_.num_nodes(); ++ns) {
-      TreeNodeId os = d.source_map[static_cast<size_t>(ns)];
-      if (os == kNoTreeNode) continue;
-      float* dst = ssim_m->row(ns);
-      const float* src = prev.row(os);
-      for (const IdRun& run : runs) {
-        std::memcpy(dst + run.dst, src + run.src,
-                    static_cast<size_t>(run.len) * sizeof(float));
-      }
     }
   }
 
@@ -1033,54 +1009,35 @@ class TreeMatcher {
     }
   }
 
-  /// The event-replay sweep: post-order over the visit list, merged with
-  /// the previous run's event stream (surviving nodes keep their relative
-  /// post-order, so both sequences advance monotonically). Clean pairs with
-  /// an event replay it directly; clean pairs without one are skipped;
-  /// everything else runs the full per-pair body.
+  /// The event-replay sweep: post-order over the visit list, each row
+  /// merged with its old source's event slice (surviving target nodes keep
+  /// their relative post-order, so both sequences advance monotonically).
+  /// Clean pairs with an event replay it directly; clean pairs without one
+  /// are skipped; everything else runs the full per-pair body. Events of
+  /// old nodes without a counterpart are never replayed: every surviving
+  /// leaf below such a node fails the delta's ancestor-chain test, so each
+  /// block they scaled is dirty and its new pairs are rescanned.
   void ReplayLoop(TreeMatchDelta* d, TreeMatchResult* result) {
-    const std::vector<FeedbackEvent>& events = *d->prev_events;
+    const std::vector<FeedbackEvent>& events = d->prev->events;
     const int64_t num_t = t_.num_nodes();
-    std::vector<int32_t> tpos(static_cast<size_t>(num_t), 0);
-    {
-      int32_t i = 0;
-      for (TreeNodeId nt : t_.post_order()) {
-        tpos[static_cast<size_t>(nt)] = i++;
-      }
-    }
-    std::vector<int32_t> opos(
-        static_cast<size_t>(d->prev_source->num_nodes()), 0);
-    {
-      int32_t i = 0;
-      for (TreeNodeId os : d->prev_source->post_order()) {
-        opos[static_cast<size_t>(os)] = i++;
-      }
-    }
+    const std::vector<int32_t> tpos = PostOrderPositions(t_);
     std::vector<TreeNodeId> old2new_t(
         static_cast<size_t>(d->prev_target->num_nodes()), kNoTreeNode);
     for (TreeNodeId nt = 0; nt < num_t; ++nt) {
       TreeNodeId ot = d->target_map[static_cast<size_t>(nt)];
       if (ot != kNoTreeNode) old2new_t[static_cast<size_t>(ot)] = nt;
     }
-    size_t ei = 0;
     for (TreeNodeId ns : s_.post_order()) {
       const int32_t begin = d->visit_begin[static_cast<size_t>(ns)];
       const int32_t end = d->visit_end[static_cast<size_t>(ns)];
       int32_t i = begin;
       TreeNodeId os = d->source_map[static_cast<size_t>(ns)];
       if (os != kNoTreeNode) {
-        // Events of earlier old nodes without a surviving counterpart were
-        // dirtied by the delta's reverse coverage; drop them here.
-        while (ei < events.size() && events[ei].source != os &&
-               opos[static_cast<size_t>(events[ei].source)] <
-                   opos[static_cast<size_t>(os)]) {
-          ++ei;
-        }
-        while (ei < events.size() && events[ei].source == os) {
-          const FeedbackEvent& e = events[ei];
-          ++ei;
+        for (int32_t ei = ev_begin_[static_cast<size_t>(os)];
+             ei < ev_end_[static_cast<size_t>(os)]; ++ei) {
+          const FeedbackEvent& e = events[static_cast<size_t>(ei)];
           TreeNodeId ntv = old2new_t[static_cast<size_t>(e.target)];
-          if (ntv == kNoTreeNode) continue;  // orphaned: covered by delta
+          if (ntv == kNoTreeNode) continue;  // no counterpart: dirty block
           while (i < end &&
                  tpos[static_cast<size_t>(
                      d->visit_data[static_cast<size_t>(i)])] <
@@ -1121,8 +1078,7 @@ class TreeMatcher {
 
   /// One visit-list pair with no previous event: a clean pair fired
   /// nothing before, so it fires nothing now (same inputs, same decision)
-  /// and its gathered snapshot cell already holds the value the body would
-  /// copy — skip. Everything else runs the body.
+  /// — skip. Everything else runs the body.
   void ProcessNonEventPair(TreeNodeId ns, TreeNodeId nt, TreeMatchDelta* d,
                            TreeMatchResult* result) {
     if (clean_flags_stale_) DeriveCleanFlags(*d);
@@ -1454,6 +1410,11 @@ class TreeMatcher {
   Matrix<float> leaf_ssim_;
   Matrix<float> leaf_lsim_;
   std::vector<uint8_t> s_clean_, t_clean_;
+  /// The previous trees' post-order positions, and each old source node's
+  /// slice [ev_begin_, ev_end_) of the previous sweep's events
+  /// (IndexPrevEvents).
+  std::vector<int32_t> prev_spos_, prev_tpos_;
+  std::vector<int32_t> ev_begin_, ev_end_;
   /// A mid-sweep divergence dirtied new leaf blocks; re-derive the clean
   /// flags before trusting them again.
   bool clean_flags_stale_ = false;
@@ -1537,27 +1498,6 @@ bool PrunedByLeafCount(const TreeMatchOptions& options, size_t source_leaves,
          options.leaf_count_ratio * static_cast<double>(lo);
 }
 
-int PrevFeedbackDecision(const TreeMatchOptions& options,
-                         const SchemaTree& prev_source,
-                         const SchemaTree& prev_target,
-                         const Matrix<float>& prev_sweep_ssim,
-                         const NodeSimilarities& prev_final, TreeNodeId os,
-                         TreeNodeId ot) {
-  if (prev_source.IsLeaf(os) && prev_target.IsLeaf(ot)) return 0;
-  if (PrunedByLeafCount(options, prev_source.leaves(os).size(),
-                        prev_target.leaves(ot).size())) {
-    return 0;
-  }
-  double w = options.wstruct_nonleaf;
-  // lsim is immutable after projection, so the final matrix holds the same
-  // bits the sweep mixed from.
-  double wsim = w * prev_sweep_ssim(os, ot) +
-                (1.0 - w) * prev_final.lsim(os, ot);
-  if (wsim > options.th_high) return 1;
-  if (wsim < options.th_low) return -1;
-  return 0;
-}
-
 bool SupportsIncrementalTreeMatch(const TreeMatchOptions& options) {
   // Depth-pruned frontiers and the skip-leaves fast path consult interior
   // wsim snapshots the dirty-leaf-pair analysis cannot see; lazy expansion
@@ -1572,9 +1512,9 @@ namespace {
 Status ValidateDelta(const SchemaTree& source, const SchemaTree& target,
                      const TreeMatchDelta& delta) {
   if (delta.prev_source == nullptr || delta.prev_target == nullptr ||
-      delta.prev_sweep_ssim == nullptr || delta.prev_final == nullptr ||
-      delta.source_leaves == nullptr || delta.target_leaves == nullptr ||
-      delta.dirty == nullptr || delta.dirty_transposed == nullptr) {
+      delta.prev == nullptr || delta.source_leaves == nullptr ||
+      delta.target_leaves == nullptr || delta.dirty == nullptr ||
+      delta.dirty_transposed == nullptr) {
     return Status::InvalidArgument("TreeMatchDelta is incomplete");
   }
   if (delta.source_map.size() != static_cast<size_t>(source.num_nodes()) ||
@@ -1582,25 +1522,23 @@ Status ValidateDelta(const SchemaTree& source, const SchemaTree& target,
       delta.source_reusable.size() != delta.source_map.size() ||
       delta.target_reusable.size() != delta.target_map.size() ||
       delta.source_size_changed.size() != delta.source_map.size() ||
-      delta.target_size_changed.size() != delta.target_map.size()) {
+      delta.target_size_changed.size() != delta.target_map.size() ||
+      delta.source_lsim_same.size() != delta.source_map.size() ||
+      delta.target_lsim_same.size() != delta.target_map.size()) {
     return Status::InvalidArgument(
         "TreeMatchDelta maps do not match the trees");
   }
-  // The lsim-locality flags and event list are optional (their absence
-  // just disables the replay fast path), but when present they must match.
-  if ((!delta.source_lsim_same.empty() &&
-       delta.source_lsim_same.size() != delta.source_map.size()) ||
-      (!delta.target_lsim_same.empty() &&
-       delta.target_lsim_same.size() != delta.target_map.size())) {
+  const TreeMatchResult& prev = *delta.prev;
+  const int64_t num_os = delta.prev_source->num_nodes();
+  const int64_t num_ot = delta.prev_target->num_nodes();
+  if (prev.sims.source_nodes() != num_os ||
+      prev.sims.target_nodes() != num_ot ||
+      prev.counts.strong.rows() != num_os ||
+      prev.counts.strong.cols() != num_ot ||
+      prev.counts.included.rows() != num_os ||
+      prev.counts.included.cols() != num_ot) {
     return Status::InvalidArgument(
-        "TreeMatchDelta lsim flags do not match the trees");
-  }
-  if (delta.prev_sweep_ssim->rows() != delta.prev_source->num_nodes() ||
-      delta.prev_sweep_ssim->cols() != delta.prev_target->num_nodes() ||
-      delta.prev_final->source_nodes() != delta.prev_source->num_nodes() ||
-      delta.prev_final->target_nodes() != delta.prev_target->num_nodes()) {
-    return Status::InvalidArgument(
-        "TreeMatchDelta snapshots do not match the previous trees");
+        "TreeMatchDelta's previous result does not match the previous trees");
   }
   return Status::OK();
 }

@@ -117,9 +117,11 @@ struct StructuralCounts {
 };
 
 /// One increase/decrease feedback event of a structural sweep, recorded in
-/// firing order (source, then target, post-order). The next incremental run
-/// replays the events of provably-clean pairs directly — one block scaling
-/// each — instead of recomputing every visit-list decision.
+/// firing order (source, then target, post-order). A pair with no event
+/// decided "neither", so the event list is the sweep's whole decision
+/// record: the next incremental run replays the events of provably-clean
+/// pairs directly — one block scaling each — and compares every other
+/// pair's fresh decision against it.
 struct FeedbackEvent {
   TreeNodeId source = kNoTreeNode;
   TreeNodeId target = kNoTreeNode;
@@ -133,8 +135,8 @@ struct TreeMatchResult {
   /// Counts behind the current ssim values: post-sweep after TreeMatch,
   /// overwritten with final counts by the Section 7 recompute passes.
   StructuralCounts counts;
-  /// The sweep's feedback events in firing order (input of the next
-  /// incremental run's clean-pair replay; empty after Recompute-only calls).
+  /// The sweep's feedback events in firing order (the warm-start input of
+  /// the next incremental run; empty after Recompute-only calls).
   std::vector<FeedbackEvent> events;
   TreeMatchStats stats;
 };
@@ -229,12 +231,6 @@ struct TreeMatchDelta {
       target_leaf_dirty[static_cast<size_t>(c)] = 1;
     }
   }
-  void MarkPairDirty(TreeNodeId x, TreeNodeId y) {
-    dirty->Set(x, y);
-    dirty_transposed->Set(y, x);
-    source_leaf_dirty[static_cast<size_t>(source_leaves->dense(x))] = 1;
-    target_leaf_dirty[static_cast<size_t>(target_leaves->dense(y))] = 1;
-  }
   void MarkSourceRowDirty(TreeNodeId x) {
     dirty->SetRowAll(x);
     dirty_transposed->SetColAll(x);
@@ -245,11 +241,12 @@ struct TreeMatchDelta {
     dirty_transposed->SetRowAll(y);
     target_leaf_dirty[static_cast<size_t>(target_leaves->dense(y))] = 1;
   }
-  /// Per NEW tree node: the node is unmapped, or its true-leaf frontier
-  /// SIZE differs from its previous counterpart's. Only such nodes can
-  /// change a pair's leaf-count prune decision, so the gather engine runs
+  /// Per NEW tree node: the node is mapped and its true-leaf frontier SIZE
+  /// differs from its previous counterpart's. Only such nodes can change a
+  /// mapped pair's leaf-count prune decision, so the gather engine runs
   /// prune-divergence checks and stale-cell fixups over these rows/columns
-  /// alone instead of the full pair grid.
+  /// alone instead of the full pair grid (an unmapped node has no previous
+  /// decision and no gathered cells).
   std::vector<uint8_t> source_size_changed;
   std::vector<uint8_t> target_size_changed;
   /// Per NEW tree node: the node maps to a previous node whose element has
@@ -259,51 +256,27 @@ struct TreeMatchDelta {
   /// always safe (it only forces recomputation).
   std::vector<uint8_t> source_lsim_same;
   std::vector<uint8_t> target_lsim_same;
-  /// The previous sweep's feedback events in firing order (optional; null
-  /// disables the clean-pair replay fast path and every visit-list pair is
-  /// recomputed instead — same results either way).
-  const std::vector<FeedbackEvent>* prev_events = nullptr;
   /// The sweep/recompute visit list: per source node, [visit_begin[ns],
   /// visit_end[ns]) spans into visit_data (target nodes in post-order that
   /// form a non-pruned non-leaf pair with ns). Built by TreeMatchIncremental
   /// and shared with RecomputeNonLeafSimilaritiesIncremental.
   std::vector<int32_t> visit_begin, visit_end;
   std::vector<TreeNodeId> visit_data;
-  /// The previous run's trees (for leaf-count prune replication) and
-  /// similarity snapshots: the post-sweep ssim matrix (before the Section 7
-  /// recompute; its lsim/wsim companions are never consulted, so only ssim
-  /// is kept) and the final NodeSimilarities (after the recompute), plus the
-  /// structural counts recorded at the final stage. All must outlive the
-  /// incremental calls.
+  /// The previous run: its trees (for leaf-count prune replication) and
+  /// its final TreeMatchResult — the similarities after the Section 7
+  /// recompute, the counts behind their non-leaf ssim, and the sweep's
+  /// feedback events, the one record of the decisions it took. All must
+  /// outlive the incremental calls.
   const SchemaTree* prev_source = nullptr;
   const SchemaTree* prev_target = nullptr;
-  const Matrix<float>* prev_sweep_ssim = nullptr;
-  const NodeSimilarities* prev_final = nullptr;
-  /// Counts behind prev_final's non-leaf ssim values (recorded by the
-  /// recompute passes). May be null when the previous run predates counts
-  /// recording; the incremental recompute then falls back to full scans.
-  const StructuralCounts* prev_final_counts = nullptr;
+  const TreeMatchResult* prev = nullptr;
 };
 
 /// \brief The leaf-count pruning rule of the sweep, over two frontier
-/// sizes. One home for the ratio arithmetic shared by the sweep, the
-/// warm-start's previous-run replication, and the session's orphan-event
-/// coverage.
+/// sizes. One home for the ratio arithmetic shared by the sweep and the
+/// warm start's previous-run replication.
 bool PrunedByLeafCount(const TreeMatchOptions& options, size_t source_leaves,
                        size_t target_leaves);
-
-/// \brief The feedback decision the previous sweep took at pair (os, ot),
-/// reconstructed from its post-sweep ssim snapshot (lsim is immutable after
-/// projection, so the final matrix supplies it) with ComparePair's exact
-/// arithmetic: +1 increase, -1 decrease, 0 none (leaf pair, pruned pair,
-/// or wsim between thresholds). Shared by the incremental sweep's
-/// divergence check and the session's orphan-event coverage.
-int PrevFeedbackDecision(const TreeMatchOptions& options,
-                         const SchemaTree& prev_source,
-                         const SchemaTree& prev_target,
-                         const Matrix<float>& prev_sweep_ssim,
-                         const NodeSimilarities& prev_final, TreeNodeId os,
-                         TreeNodeId ot);
 
 /// \brief True iff `options` are in the subset the incremental warm start
 /// supports: true-leaf frontiers (max_leaf_depth == 0), no
@@ -314,11 +287,13 @@ bool SupportsIncrementalTreeMatch(const TreeMatchOptions& options);
 
 /// \brief TreeMatch warm-started from a previous run.
 ///
-/// Produces a result bit-identical to TreeMatch(source, target,
-/// element_lsim, types, options): node pairs whose inputs provably match the
-/// previous run's copy their similarities; only pairs reachable from the
-/// delta's dirty leaf set (plus pairs whose feedback decision diverges,
-/// detected on the fly) are rescanned. `delta->dirty` is updated in place.
+/// Reproduces the leaf state and the feedback events of TreeMatch(source,
+/// target, element_lsim, types, options) bit for bit: node pairs whose
+/// inputs provably match the previous run's take its decisions; only pairs
+/// reachable from the delta's dirty leaf set (plus pairs whose feedback
+/// decision diverges, detected on the fly) are rescanned. Non-leaf cells
+/// are left to RecomputeNonLeafSimilaritiesIncremental, which rewrites
+/// them in any run. `delta->dirty` is updated in place.
 Result<TreeMatchResult> TreeMatchIncremental(const SchemaTree& source,
                                              const SchemaTree& target,
                                              const Matrix<float>& element_lsim,

@@ -14,6 +14,7 @@
 #include "eval/datasets.h"
 #include "eval/synthetic.h"
 #include "incremental/match_session.h"
+#include "schema/schema_builder.h"
 #include "tests/match_diff_testutil.h"
 #include "thesaurus/default_thesaurus.h"
 #include "util/random.h"
@@ -128,6 +129,67 @@ TEST(MatchSessionTest, SingleRenameUsesWarmStartAndReusesPairs) {
   EXPECT_GT(session.last_stats().tree_match.pairs_reused, 0);
   // Most of the name-level similarity table must have survived the edit.
   EXPECT_GT(session.last_stats().lsim_cached_pairs, 0);
+}
+
+TEST(MatchSessionTest, OrphanedInnerNodesWithSurvivingLeaves) {
+  // Two same-named Item containers map by rank. Adding a third Item (a leaf)
+  // grows the PO.Lines.Item path group from 2 to 3, so neither old Item has
+  // a counterpart any more and the feedback they fired is orphaned, while
+  // the PO.Lines.Item.Qty/Price/Descr groups stay 2 <-> 2 and their leaves
+  // survive under unmapped parents. Their cells carry that old feedback, so
+  // the warm start must recompute them.
+  XmlSchemaBuilder src("PO");
+  ElementId lines = src.AddElement(src.root(), "Lines");
+  for (int i = 0; i < 2; ++i) {
+    ElementId item = src.AddElement(lines, "Item");
+    src.AddAttribute(item, "Qty", DataType::kInteger);
+    src.AddAttribute(item, "Price", DataType::kDecimal);
+    src.AddAttribute(item, "Descr", DataType::kString);
+  }
+  ElementId buyer = src.AddElement(src.root(), "Buyer");
+  src.AddAttribute(buyer, "Name", DataType::kString);
+  src.AddAttribute(buyer, "City", DataType::kString);
+
+  XmlSchemaBuilder tgt("Order");
+  ElementId items = tgt.AddElement(tgt.root(), "Items");
+  ElementId line = tgt.AddElement(items, "Line");
+  tgt.AddAttribute(line, "Quantity", DataType::kInteger);
+  tgt.AddAttribute(line, "UnitPrice", DataType::kDecimal);
+  tgt.AddAttribute(line, "Description", DataType::kString);
+  ElementId customer = tgt.AddElement(tgt.root(), "Customer");
+  tgt.AddAttribute(customer, "CustomerName", DataType::kString);
+  tgt.AddAttribute(customer, "Street", DataType::kString);
+  tgt.AddAttribute(customer, "Phone", DataType::kString);
+
+  Thesaurus thesaurus = DefaultThesaurus();
+  CupidConfig config = SingleThreaded();
+  MatchSession session(&thesaurus, std::move(src).Build(),
+                       std::move(tgt).Build(), config);
+  auto r0 = session.Rematch();
+  ASSERT_TRUE(r0.ok()) << r0.status().ToString();
+  // The old Item containers fired feedback: it is what the leaves inherit.
+  const SchemaTree& old_tree = (*r0)->source_tree;
+  int item_events = 0;
+  for (const FeedbackEvent& e : (*r0)->tree_match.events) {
+    if (old_tree.NodeName(e.source) == "Item") ++item_events;
+  }
+  ASSERT_GT(item_events, 0);
+
+  Element added;
+  added.name = "Item";
+  added.kind = ElementKind::kAtomic;
+  added.data_type = DataType::kString;
+  ASSERT_TRUE(session
+                  .ApplyEdit(SchemaEdit::AddElement(EditSide::kSource,
+                                                    "PO.Lines", added))
+                  .ok());
+  auto r = session.Rematch();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(session.last_stats().incremental);
+  CupidMatcher scratch(&thesaurus, config);
+  auto ref = scratch.Match(session.source(), session.target());
+  ASSERT_TRUE(ref.ok());
+  ExpectIdenticalResults(**r, *ref, "orphaned Item containers");
 }
 
 TEST(MatchSessionTest, ServesCachedResultWhenUnedited) {

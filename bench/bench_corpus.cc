@@ -8,17 +8,17 @@
 //                                    CupidMatcher::Match against every
 //                                    stored schema, ranked after the fact
 //   * BM_CorpusSearchExhaustive/T    CorpusSearchService with pruning off —
-//                                    what the shared LsimCache and the
-//                                    scheduler sharding buy on their own
+//                                    what scheduler sharding over T
+//                                    workers buys on its own
 //   * BM_CorpusSearchPruned/T        the full stack: linguistic pre-screen
-//                                    to top-k', shared cache, sharding
+//                                    to top-k', then sharding
 //   * BM_CorpusPrunedEqualsExhaustive  correctness guard: pruned top-1 must
 //                                    equal the exhaustive (and naive) top-1
 //                                    with bit-identical scores; CI requires
 //                                    the mismatch counters to be exactly 0
 //
 // CI runs this with --benchmark_out=BENCH_corpus.json, asserts the guards
-// and that the pruned+shared-cache search beats the naive loop by the
+// and that the pruned search beats the naive loop by the
 // documented factor (docs/PERFORMANCE.md has the measured numbers).
 
 #include <benchmark/benchmark.h>

@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
 
   if (search) {
     // One-vs-N: register the probe plus every target file in an in-memory
-    // repository and rank with the service (pre-screen + shared cache).
+    // repository and rank with the service (pre-screen + full matches).
     SchemaRepository repo;
     const std::string probe_name = RepoName(source_path);
     auto registered = repo.Register(probe_name, *std::move(source));

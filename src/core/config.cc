@@ -8,8 +8,11 @@ Status CupidConfig::Validate() const {
   if (linguistic.thns < 0.0 || linguistic.thns > 1.0) {
     return Status::InvalidArgument("thns must be within [0,1]");
   }
-  if (linguistic.num_threads < 0) {
-    return Status::InvalidArgument("num_threads must be >= 0");
+  for (int threads : {linguistic.num_threads, tree_match.num_threads}) {
+    if (threads < 0 || threads > kMaxNumThreads) {
+      return Status::InvalidArgument(
+          StringFormat("num_threads must be within [0,%d]", kMaxNumThreads));
+    }
   }
   CUPID_RETURN_NOT_OK(ValidateTreeMatchOptions(tree_match));
   if (mapping.th_accept < 0.0 || mapping.th_accept > 1.0) {

@@ -27,6 +27,11 @@ struct InitialMappingEntry {
 /// the user, can be fed back through this.
 using InitialMapping = std::vector<InitialMappingEntry>;
 
+/// Upper bound on the per-match worker-thread count accepted by
+/// CupidConfig::Validate. Far above any useful setting; it stops one request
+/// (e.g. a protocol client's "num_threads") from spawning an unbounded pool.
+inline constexpr int kMaxNumThreads = 256;
+
 /// Full configuration of a Cupid match run.
 struct CupidConfig {
   LinguisticOptions linguistic;
@@ -41,8 +46,8 @@ struct CupidConfig {
 
   /// \brief Sets the worker-thread count of every parallelized phase
   /// (linguistic lsim fill, structural row inits). 0 (the default) uses all
-  /// hardware threads; 1 forces fully sequential execution. Results are
-  /// identical at any setting.
+  /// hardware threads; 1 forces fully sequential execution; at most
+  /// kMaxNumThreads. Results are identical at any setting.
   void SetNumThreads(int n) {
     linguistic.num_threads = n;
     tree_match.num_threads = n;

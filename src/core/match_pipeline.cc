@@ -71,23 +71,15 @@ bool HasJoinViews(const SchemaTree& tree) {
   return false;
 }
 
-/// lsim from the requested source; `served` reports the one that ran.
+/// lsim from the requested source.
 Result<LinguisticResult> FetchLsim(const LinguisticMatcher& linguistic,
                                    const Schema& source, const Schema& target,
-                                   const MatchInputs& in, LsimSource* served) {
-  *served = in.lsim;
+                                   const MatchInputs& in) {
   switch (in.lsim) {
     case LsimSource::kFresh:
       return linguistic.Match(source, target);
     case LsimSource::kCache:
       return linguistic.Match(source, target, in.cache);
-    case LsimSource::kSharedView: {
-      Result<LinguisticResult> warmed =
-          linguistic.MatchWarmed(source, target, *in.cache);
-      if (!warmed.status().IsUnavailable()) return warmed;
-      *served = LsimSource::kCache;
-      return linguistic.Match(source, target, in.cache);
-    }
     case LsimSource::kGather: {
       const MatchResult& prev = *in.previous;
       LsimGatherPlan plan =
@@ -105,11 +97,10 @@ Result<LinguisticResult> LinguisticStage(const Thesaurus* thesaurus,
                                          const CupidConfig& config,
                                          const Schema& source,
                                          const Schema& target,
-                                         const MatchInputs& in,
-                                         LsimSource* served) {
+                                         const MatchInputs& in) {
   LinguisticMatcher linguistic(thesaurus, config.linguistic);
   CUPID_ASSIGN_OR_RETURN(LinguisticResult lres,
-                         FetchLsim(linguistic, source, target, in, served));
+                         FetchLsim(linguistic, source, target, in));
   if (in.hints == nullptr) return lres;
   for (const InitialMappingEntry& hint : *in.hints) {
     ElementId es = source.FindByPath(hint.source_path);
@@ -167,10 +158,9 @@ Status RunMatchPipeline(const Thesaurus* thesaurus, const CupidConfig& config,
   CUPID_RETURN_NOT_OK(ValidateInputs(in));
   const MatchResult* prev = in.previous;
 
-  LsimSource served;
   CUPID_ASSIGN_OR_RETURN(
       LinguisticResult lres,
-      LinguisticStage(thesaurus, config, source, target, in, &served));
+      LinguisticStage(thesaurus, config, source, target, in));
   const Clock::time_point t1 = Clock::now();
 
   CUPID_ASSIGN_OR_RETURN(
@@ -224,7 +214,7 @@ Status RunMatchPipeline(const Thesaurus* thesaurus, const CupidConfig& config,
   MatchRun run{MatchResult{std::move(source_tree), std::move(target_tree),
                            std::move(lres), std::move(tmres),
                            std::move(leaf_mapping), std::move(nonleaf_mapping)},
-               warm, served};
+               warm};
   const Clock::time_point t6 = Clock::now();
 
   commit(std::move(run));

@@ -2,7 +2,7 @@
 // path that every caller runs — CupidMatcher::Match (cold), MatchSession's
 // rematch (cold first, then warm) and corpus search's candidate match.
 //
-//   1. linguistic  (Section 5)        element lsim, from one of four sources
+//   1. linguistic  (Section 5)        element lsim, from one of three sources
 //   2. trees                          schema trees (Section 8's expansion)
 //   3. delta                          warm-start input (warm runs only)
 //   4. sweep       (Sections 6, 8)    TreeMatch, cold or warm-started
@@ -71,11 +71,8 @@ enum class LsimSource {
   /// parallel per-block memo fill, or the naive reference path when
   /// use_perf_cache is off.
   kFresh,
-  /// Match(s1, s2, cache): a persistent cache under an exclusive hold.
+  /// Match(s1, s2, cache): name-level work served from a persistent cache.
   kCache,
-  /// MatchWarmed under a shared hold of a warmed cache; a candidate the
-  /// cache was not warmed for falls back to kCache.
-  kSharedView,
   /// MatchGather: rows of unchanged elements gathered from the previous
   /// run, changed rows/columns recomputed through the cache.
   kGather,
@@ -115,8 +112,6 @@ struct MatchRun {
   MatchResult result;
   /// The structural stages ran warm (kDelta did not fall back).
   bool warm = false;
-  /// The source that produced lsim (kCache after a kSharedView miss).
-  LsimSource lsim = LsimSource::kFresh;
 };
 
 /// \brief Matches `source` against `target` through the seven stages and

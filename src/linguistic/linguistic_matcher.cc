@@ -170,33 +170,17 @@ inline float MixLsim(double ns, float scale, const AnnotationVector& doc1,
   return static_cast<float>(lsim);
 }
 
-/// Distinct-name index of every element, in id order: `find` maps a raw
-/// name to its registry index (registering it, or -1 when absent). False
-/// when some name is absent.
-template <typename Find>
-bool IndexNames(const Schema& s, Find&& find,
-                std::vector<int32_t>* of_element) {
-  of_element->reserve(static_cast<size_t>(s.num_elements()));
-  for (ElementId id : s.AllElements()) {
-    const int32_t d = find(s.element(id).name);
-    if (d < 0) return false;
-    of_element->push_back(d);
-  }
-  return true;
-}
-
-/// IndexNames against a registry (LsimCache::SideNames) that registers
-/// every new name.
+/// Distinct-name index of every element, in id order, against a registry
+/// (LsimCache::SideNames) that registers every new name.
 template <typename Registry>
 void RegisterNames(const Schema& s, Registry* registry,
                    const NameNormalizer& normalizer, TokenInterner* interner,
                    std::vector<int32_t>* of_element) {
-  IndexNames(
-      s,
-      [&](const std::string& raw) {
-        return registry->Register(raw, normalizer, interner);
-      },
-      of_element);
+  of_element->reserve(static_cast<size_t>(s.num_elements()));
+  for (ElementId id : s.AllElements()) {
+    of_element->push_back(
+        registry->Register(s.element(id).name, normalizer, interner));
+  }
 }
 
 /// Per-element normalized names, gathered from a distinct-name registry.
@@ -342,11 +326,17 @@ Status LinguisticMatcher::Validate(const LsimCache* cache) const {
 }
 
 Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
-                                                  const Schema& s2) const {
-  CUPID_RETURN_NOT_OK(Validate(nullptr));
-  if (options_.use_perf_cache) {
-    return MatchCached(s1, s2, /*view=*/nullptr, /*read_view=*/nullptr);
+                                                  const Schema& s2,
+                                                  LsimCache* cache) const {
+  CUPID_RETURN_NOT_OK(Validate(cache));
+  if (cache != nullptr) {
+    // The whole serial fill runs under the cache mutex (see lsim_cache.h);
+    // the pool workers in the scatter only read run-local state.
+    MutexLock lock(&cache->mu_);
+    LsimCacheView view = cache->LockedView();
+    return MatchCached(s1, s2, &view);
   }
+  if (options_.use_perf_cache) return MatchCached(s1, s2, /*view=*/nullptr);
 
   // Naive path: every element pair is compared from scratch. Kept as the
   // reference implementation for equivalence tests and benchmarks.
@@ -385,47 +375,11 @@ Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
   return out;
 }
 
-Result<LinguisticResult> LinguisticMatcher::Match(const Schema& s1,
-                                                  const Schema& s2,
-                                                  LsimCache* cache) const {
-  if (cache == nullptr) return Match(s1, s2);
-  CUPID_RETURN_NOT_OK(Validate(cache));
-  // The whole serial fill runs under the cache mutex (see lsim_cache.h);
-  // the pool workers in the scatter only read run-local state.
-  SharedMutexLock lock(&cache->mu_);
-  LsimCacheView view = cache->LockedView();
-  return MatchCached(s1, s2, &view, /*read_view=*/nullptr);
-}
-
-Status LinguisticMatcher::WarmNames(const Schema& s1, const Schema& s2,
-                                    LsimCache* cache) const {
-  if (cache == nullptr) {
-    return Status::InvalidArgument("WarmNames requires an LsimCache");
-  }
-  CUPID_RETURN_NOT_OK(Validate(cache));
-  SharedMutexLock lock(&cache->mu_);
-  LsimCacheView view = cache->LockedView();
-  return MatchCached(s1, s2, &view, /*read_view=*/nullptr, /*warm_only=*/true)
-      .status();
-}
-
-Result<LinguisticResult> LinguisticMatcher::MatchWarmed(
-    const Schema& s1, const Schema& s2, const LsimCache& cache) const {
-  CUPID_RETURN_NOT_OK(Validate(&cache));
-  SharedReaderLock lock(&cache.mu_);
-  LsimCacheReadView view = cache.LockedReadView();
-  return MatchCached(s1, s2, /*view=*/nullptr, &view);
-}
-
 Result<LinguisticResult> LinguisticMatcher::MatchCached(
-    const Schema& s1, const Schema& s2, LsimCacheView* view,
-    const LsimCacheReadView* read_view, bool warm_only) const {
+    const Schema& s1, const Schema& s2, LsimCacheView* view) const {
   const int64_t n1 = s1.num_elements(), n2 = s2.num_elements();
   LinguisticResult out;
-  // Run-local name state, used when no cross-run cache is supplied. A
-  // shared reader must not grow the cache's interner either: keyword
-  // similarities are pure functions of the token strings, so a run-local
-  // interner and memo give bit-identical category scales.
+  // Run-local name state, used when no cross-run cache is supplied.
   TokenInterner local_interner;
   TokenInterner* interner = view ? view->interner() : &local_interner;
 
@@ -433,41 +387,15 @@ Result<LinguisticResult> LinguisticMatcher::MatchCached(
   // sharing a raw name share the distinct entry (normalization is a pure
   // function of the raw name). With a cache, the registries persist across
   // calls and indices are cumulative — entries of names edited away stay
-  // allocated, bounded by the distinct names ever seen. A shared reader
-  // only looks names up: one the exclusive passes never registered means
-  // the candidate was not warmed — report it, never fill.
+  // allocated, bounded by the distinct names ever seen.
   LsimCache::SideNames local_d1, local_d2;
+  LsimCache::SideNames* d1 = view ? &view->side1() : &local_d1;
+  LsimCache::SideNames* d2 = view ? &view->side2() : &local_d2;
   std::vector<int32_t> of_element1, of_element2;
-  const std::vector<NormalizedName>* registry1;
-  const std::vector<NormalizedName>* registry2;
-  if (read_view != nullptr) {
-    const int64_t rows = read_view->known().rows();
-    const int64_t cols = read_view->known().cols();
-    auto find1 = [&](const std::string& raw) {
-      int32_t d = read_view->FindSide1(raw);
-      return d < rows ? d : -1;
-    };
-    auto find2 = [&](const std::string& raw) {
-      int32_t d = read_view->FindSide2(raw);
-      return d < cols ? d : -1;
-    };
-    if (!IndexNames(s1, find1, &of_element1) ||
-        !IndexNames(s2, find2, &of_element2)) {
-      return Status::Unavailable(
-          "MatchWarmed: schema contains names not warmed into the LsimCache");
-    }
-    registry1 = &read_view->names1();
-    registry2 = &read_view->names2();
-  } else {
-    LsimCache::SideNames* d1 = view ? &view->side1() : &local_d1;
-    LsimCache::SideNames* d2 = view ? &view->side2() : &local_d2;
-    RegisterNames(s1, d1, normalizer_, interner, &of_element1);
-    RegisterNames(s2, d2, normalizer_, interner, &of_element2);
-    registry1 = &d1->names;
-    registry2 = &d2->names;
-  }
-  out.names1 = CollectNames(of_element1, *registry1);
-  out.names2 = CollectNames(of_element2, *registry2);
+  RegisterNames(s1, d1, normalizer_, interner, &of_element1);
+  RegisterNames(s2, d2, normalizer_, interner, &of_element2);
+  out.names1 = CollectNames(of_element1, d1->names);
+  out.names2 = CollectNames(of_element2, d2->names);
   out.categories1 = std::make_shared<const Categorization>(
       CategorizeSchema(s1, *out.names1, normalizer_));
   out.categories2 = std::make_shared<const Categorization>(
@@ -478,15 +406,12 @@ Result<LinguisticResult> LinguisticMatcher::MatchCached(
       view ? view->memo() : nullptr, n1, n2);
 
   // Spawning workers only pays when some row block is big enough to leave
-  // ParallelFor's inline path (2 * its 16-row minimum chunk). Shared
-  // readers stay serial: corpus-search parallelism comes from running many
-  // candidate matches concurrently.
-  const int64_t num_d1 = static_cast<int64_t>(registry1->size());
-  const int64_t num_d2 = static_cast<int64_t>(registry2->size());
+  // ParallelFor's inline path (2 * its 16-row minimum chunk).
+  const int64_t num_d1 = static_cast<int64_t>(d1->names.size());
+  const int64_t num_d2 = static_cast<int64_t>(d2->names.size());
   int threads = ThreadPool::EffectiveThreads(options_.num_threads);
   std::unique_ptr<ThreadPool> pool;
-  if (!warm_only && read_view == nullptr && threads > 1 &&
-      std::max(num_d1, n1) >= 32) {
+  if (threads > 1 && std::max(num_d1, n1) >= 32) {
     pool = std::make_unique<ThreadPool>(threads);
   }
 
@@ -498,60 +423,46 @@ Result<LinguisticResult> LinguisticMatcher::MatchCached(
   // they don't each pay the dense table's vocab-squared zero-fill. With a
   // cache, values persist in it and uncached pairs are filled serially
   // (the persistent memo is not thread-safe) — after a warm first run only
-  // pairs involving edited names miss. A shared reader fills nothing; the
-  // scatter checks every cell it reads was computed.
-  Matrix<double> local_ns;
-  const Matrix<double>* distinct_ns = &local_ns;
-  const Matrix<uint8_t>* known = nullptr;
-  if (read_view != nullptr) {
-    distinct_ns = &read_view->ns();
-    known = &read_view->known();
-  } else {
-    Matrix<uint8_t> needed(num_d1, num_d2);
-    for (ElementId e1 = 0; e1 < n1; ++e1) {
-      uint8_t* needed_row = &needed(of_element1[static_cast<size_t>(e1)], 0);
-      const float* scale_row = &best_scale(e1, 0);
-      const int32_t* idx2 = of_element2.data();
-      for (int64_t e2 = 0; e2 < n2; ++e2) {
-        if (scale_row[e2] > 0.0f) needed_row[idx2[e2]] = 1;
-      }
-    }
-    if (view) {
-      view->EnsureCapacity(num_d1, num_d2);
-      for (int64_t i = 0; i < num_d1; ++i) {
-        const uint8_t* needed_row = &needed(i, 0);
-        for (int64_t j = 0; j < num_d2; ++j) {
-          if (needed_row[j]) {
-            view->NameSimilarity(static_cast<int32_t>(i),
-                                 static_cast<int32_t>(j),
-                                 options_.token_weights);
-          }
-        }
-      }
-      distinct_ns = &view->ns();
-    } else {
-      local_ns = Matrix<double>(num_d1, num_d2);
-      const std::vector<InternedName>& interned1 = local_d1.interned;
-      const std::vector<InternedName>& interned2 = local_d2.interned;
-      ParallelFor(pool.get(), num_d1, [&](int64_t begin, int64_t end) {
-        TokenPairMemo memo(interner, thesaurus_, options_.substring,
-                           /*use_dense=*/pool == nullptr);
-        for (int64_t i = begin; i < end; ++i) {
-          for (int64_t j = 0; j < num_d2; ++j) {
-            if (!needed(i, j)) continue;
-            local_ns(i, j) = InternedNameSimilarity(
-                interned1[static_cast<size_t>(i)],
-                interned2[static_cast<size_t>(j)], options_.token_weights,
-                &memo);
-          }
-        }
-      });
+  // pairs involving edited names miss.
+  Matrix<uint8_t> needed(num_d1, num_d2);
+  for (ElementId e1 = 0; e1 < n1; ++e1) {
+    uint8_t* needed_row = &needed(of_element1[static_cast<size_t>(e1)], 0);
+    const float* scale_row = &best_scale(e1, 0);
+    const int32_t* idx2 = of_element2.data();
+    for (int64_t e2 = 0; e2 < n2; ++e2) {
+      if (scale_row[e2] > 0.0f) needed_row[idx2[e2]] = 1;
     }
   }
-  if (warm_only) {
-    // WarmNames: every needed name-pair similarity is now in the cache; the
-    // element-pair scatter is left to the shared-mode readers (MatchWarmed).
-    return out;
+  Matrix<double> local_ns;
+  const Matrix<double>* distinct_ns = &local_ns;
+  if (view) {
+    view->EnsureCapacity(num_d1, num_d2);
+    for (int64_t i = 0; i < num_d1; ++i) {
+      const uint8_t* needed_row = &needed(i, 0);
+      for (int64_t j = 0; j < num_d2; ++j) {
+        if (needed_row[j]) {
+          view->NameSimilarity(static_cast<int32_t>(i),
+                               static_cast<int32_t>(j),
+                               options_.token_weights);
+        }
+      }
+    }
+    distinct_ns = &view->ns();
+  } else {
+    local_ns = Matrix<double>(num_d1, num_d2);
+    ParallelFor(pool.get(), num_d1, [&](int64_t begin, int64_t end) {
+      TokenPairMemo memo(interner, thesaurus_, options_.substring,
+                         /*use_dense=*/pool == nullptr);
+      for (int64_t i = begin; i < end; ++i) {
+        for (int64_t j = 0; j < num_d2; ++j) {
+          if (!needed(i, j)) continue;
+          local_ns(i, j) = InternedNameSimilarity(
+              local_d1.interned[static_cast<size_t>(i)],
+              local_d2.interned[static_cast<size_t>(j)],
+              options_.token_weights, &memo);
+        }
+      }
+    });
   }
 
   // Scatter the distinct similarities into the element-pair lsim table,
@@ -561,15 +472,13 @@ Result<LinguisticResult> LinguisticMatcher::MatchCached(
   std::vector<AnnotationVector> docs2 = BuildDocs(s2, *thesaurus_, w);
   out.lsim = Matrix<float>(n1, n2);
   std::atomic<int64_t> comparisons{0};
-  std::atomic<bool> unwarmed{false};
   ParallelFor(pool.get(), n1, [&](int64_t begin, int64_t end) {
     int64_t local = 0;
     const int32_t* idx2 = of_element2.data();
     for (ElementId e1 = static_cast<ElementId>(begin);
          e1 < static_cast<ElementId>(end); ++e1) {
-      const int32_t d1 = of_element1[static_cast<size_t>(e1)];
-      const double* ns_row = distinct_ns->row(d1);
-      const uint8_t* known_row = known ? known->row(d1) : nullptr;
+      const double* ns_row =
+          distinct_ns->row(of_element1[static_cast<size_t>(e1)]);
       const float* scale_row = &best_scale(e1, 0);
       float* lsim_row = &out.lsim(e1, 0);
       const AnnotationVector& doc1 = docs1[static_cast<size_t>(e1)];
@@ -577,20 +486,12 @@ Result<LinguisticResult> LinguisticMatcher::MatchCached(
         float scale = scale_row[e2];
         if (scale <= 0.0f) continue;
         ++local;
-        if (known_row != nullptr && !known_row[idx2[e2]]) {
-          unwarmed.store(true, std::memory_order_relaxed);
-          return;
-        }
         lsim_row[e2] = MixLsim(ns_row[idx2[e2]], scale, doc1,
                                docs2[static_cast<size_t>(e2)], w);
       }
     }
     comparisons.fetch_add(local, std::memory_order_relaxed);
   });
-  if (unwarmed.load()) {
-    return Status::Unavailable(
-        "MatchWarmed: name pair not warmed into the LsimCache");
-  }
   out.comparisons = comparisons.load();
   return out;
 }
@@ -628,7 +529,7 @@ Result<LinguisticResult> LinguisticMatcher::MatchGather(
   // As in Match(s1, s2, cache): the whole patch pipeline holds the cache
   // mutex and works through a locked view (the row/column fills run
   // serially here).
-  SharedMutexLock cache_lock(&cache->mu_);
+  MutexLock cache_lock(&cache->mu_);
   LsimCacheView view = cache->LockedView();
   TokenInterner* interner = view.interner();
   std::vector<int32_t> of_element1, of_element2;

@@ -6,6 +6,10 @@
 //     lsim(m1, m2) = ns(m1, m2) * max_{c1 in C1, c2 in C2} ns(c1, c2)
 //
 // and zero for pairs that share no compatible category pair.
+//
+// LinguisticMatcher has two entry points for the table: Match, fresh or
+// served from a persistent LsimCache, and MatchGather, the incremental
+// row gather. NameSimilarity scores single name pairs.
 
 #ifndef CUPID_LINGUISTIC_LINGUISTIC_MATCHER_H_
 #define CUPID_LINGUISTIC_LINGUISTIC_MATCHER_H_
@@ -24,7 +28,6 @@ namespace cupid {
 
 class LsimCache;
 class LsimCacheView;
-class LsimCacheReadView;
 
 /// Tunables of the linguistic phase.
 struct LinguisticOptions {
@@ -121,17 +124,16 @@ class LinguisticMatcher {
   LinguisticMatcher(const Thesaurus* thesaurus, LinguisticOptions options)
       : thesaurus_(thesaurus), options_(options), normalizer_(thesaurus) {}
 
-  /// \brief Computes the full linguistic result for a schema pair.
-  Result<LinguisticResult> Match(const Schema& s1, const Schema& s2) const;
-
-  /// \brief Match serving name-level work from a persistent cross-run cache
-  /// (linguistic/lsim_cache.h). Bit-identical to Match with the perf cache
-  /// on: cached values were computed by the same pure functions. The cache
-  /// must be bound to this matcher's thesaurus and options; a null cache
-  /// falls through to Match. Categorization and the lsim scatter are still
-  /// recomputed per run (they are cheap and schema-shape dependent).
+  /// \brief Computes the full linguistic result for a schema pair. With a
+  /// persistent cross-run `cache` (linguistic/lsim_cache.h), name-level work
+  /// is served from it and only names it has not seen are normalized and
+  /// compared; bit-identical to the cache-less call with the perf cache on,
+  /// because cached values were computed by the same pure functions. The
+  /// cache must be bound to this matcher's thesaurus and options.
+  /// Categorization and the lsim scatter are recomputed per run (they are
+  /// cheap and schema-shape dependent).
   Result<LinguisticResult> Match(const Schema& s1, const Schema& s2,
-                                 LsimCache* cache) const;
+                                 LsimCache* cache = nullptr) const;
 
   /// \brief The incremental lsim gather: rows/columns of unchanged elements
   /// are bulk-copied from `prev.lsim` (the previous run's result under the
@@ -149,26 +151,6 @@ class LinguisticMatcher {
                                        const LsimGatherPlan& plan,
                                        const LinguisticResult& prev) const;
 
-  /// \brief Exclusive warm pass for the corpus-search read path: registers
-  /// both schemas' distinct names in `cache` and fills every name-pair
-  /// similarity a Match(s1, s2, cache) call would need, without building the
-  /// element-pair lsim table. Takes the cache mutex exclusively. After a
-  /// warm pass, MatchWarmed(s1, s2, *cache) succeeds under a shared hold.
-  Status WarmNames(const Schema& s1, const Schema& s2,
-                   LsimCache* cache) const;
-
-  /// \brief Read-only cached match: serves every name-pair similarity from
-  /// `cache` under a SHARED (reader) hold of its mutex, so any number of
-  /// MatchWarmed calls over one cache run concurrently. Never fills the
-  /// cache; returns Unavailable if either schema contains a name — or needs
-  /// a name pair — that no exclusive pass (Match/WarmNames) has computed,
-  /// in which case the caller falls back to Match(s1, s2, cache).
-  /// Bit-identical to Match with or without the cache: cached values were
-  /// computed by the same pure functions, and categorization / category
-  /// scaling / the annotation blend are recomputed run-locally here.
-  Result<LinguisticResult> MatchWarmed(const Schema& s1, const Schema& s2,
-                                       const LsimCache& cache) const;
-
   /// \brief Name similarity of two single names under this matcher's
   /// thesaurus and weights (normalization applied). Exposed for tests and
   /// for the path-name matcher used in experiment E5.
@@ -180,21 +162,15 @@ class LinguisticMatcher {
   /// serve values computed under other inputs).
   Status Validate(const LsimCache* cache) const;
 
-  /// The cached fast path behind Match, WarmNames and MatchWarmed:
-  /// distinct-name dedup + interning + memoization, parallel over row
-  /// blocks. Same output as the naive path. Name-level state is run-local
-  /// (both views null), the cache's under an exclusive hold (`view`:
-  /// registries, interner and memo survive across calls, name-pair fills
-  /// run serially), or the warmed cache's under a shared hold (`read_view`:
-  /// never fills, Unavailable on any miss). The caller holds the cache
-  /// mutex for the whole call; working through plain-pointer views keeps
-  /// the critical section checkable without annotating the fill lambdas.
-  /// With `warm_only` (WarmNames), stops after the name-pair fill — the
-  /// element-pair scatter is left to shared-mode readers.
+  /// The cached fast path behind Match: distinct-name dedup + interning +
+  /// memoization, parallel over row blocks. Same output as the naive path.
+  /// Name-level state is run-local (null `view`) or the cache's under the
+  /// cache mutex (registries, interner and memo survive across calls,
+  /// name-pair fills run serially). The caller holds the cache mutex for
+  /// the whole call; working through a plain-pointer view keeps the
+  /// critical section checkable without annotating the fill lambdas.
   Result<LinguisticResult> MatchCached(const Schema& s1, const Schema& s2,
-                                       LsimCacheView* view,
-                                       const LsimCacheReadView* read_view,
-                                       bool warm_only = false) const;
+                                       LsimCacheView* view) const;
 
   const Thesaurus* thesaurus_;
   LinguisticOptions options_;

@@ -14,17 +14,12 @@
 // LinguisticMatcher::Match(s1, s2, cache) rejects a cache bound differently
 // (mixing would serve values computed under other inputs).
 //
-// Concurrency: the mutable state is guarded by an internal reader/writer
-// mutex. Mutating paths (Match/MatchGather with a cache, WarmNames) take it
-// exclusively and work through a LsimCacheView for the whole serial fill —
-// the persistent memo is not thread-safe, so mutating calls over one cache
-// serialize by design. The corpus-search read path (MatchWarmed) takes the
-// mutex SHARED and works through a const LsimCacheReadView: after an
-// exclusive warm pass has registered the names and filled every needed
-// name-pair similarity, any number of candidate matches scatter from the
-// table concurrently without touching the interner or memo (they fall back
-// to the exclusive path on a miss). Cached values are pure functions of the
-// raw names, so both paths are bit-identical to recomputation.
+// Concurrency: the mutable state is guarded by an internal mutex. Every
+// call with a cache (Match and MatchGather) holds it for the whole serial
+// fill and works through a LsimCacheView — the persistent memo is not
+// thread-safe, so calls over one cache serialize by design. Concurrent
+// matches that want parallelism use no cache (corpus search does this:
+// its candidates run the cache-less pipeline side by side).
 
 #ifndef CUPID_LINGUISTIC_LSIM_CACHE_H_
 #define CUPID_LINGUISTIC_LSIM_CACHE_H_
@@ -44,7 +39,6 @@
 namespace cupid {
 
 class LsimCacheView;
-class LsimCacheReadView;
 
 /// \brief Persistent state of the cached linguistic pipeline.
 class LsimCache {
@@ -63,23 +57,22 @@ class LsimCache {
 
   /// Distinct raw names seen so far on each side (diagnostics).
   size_t num_source_names() const EXCLUDES(mu_) {
-    SharedReaderLock lock(&mu_);
+    MutexLock lock(&mu_);
     return side1_.names.size();
   }
   size_t num_target_names() const EXCLUDES(mu_) {
-    SharedReaderLock lock(&mu_);
+    MutexLock lock(&mu_);
     return side2_.names.size();
   }
   /// Name pairs whose similarity has been computed and memoized.
   int64_t num_cached_pairs() const EXCLUDES(mu_) {
-    SharedReaderLock lock(&mu_);
+    MutexLock lock(&mu_);
     return cached_pairs_;
   }
 
  private:
   friend class LinguisticMatcher;
   friend class LsimCacheView;
-  friend class LsimCacheReadView;
 
   /// One side's registry: every distinct raw name ever seen, normalized and
   /// interned exactly once. Indices are stable across runs.
@@ -103,13 +96,9 @@ class LsimCache {
   /// lifetime of the view (see LsimCacheView).
   inline LsimCacheView LockedView() REQUIRES(mu_);
 
-  /// Const view of the warmed state; the caller holds mu_ in shared mode for
-  /// the lifetime of the view (see LsimCacheReadView).
-  inline LsimCacheReadView LockedReadView() const REQUIRES_SHARED(mu_);
-
   const Thesaurus* thesaurus_;   // immutable binding, checked by the matcher
   LinguisticOptions options_;    // immutable binding
-  mutable SharedMutex mu_;
+  mutable Mutex mu_;
   TokenInterner interner_ GUARDED_BY(mu_);
   TokenPairMemo memo_ GUARDED_BY(mu_);
   SideNames side1_ GUARDED_BY(mu_), side2_ GUARDED_BY(mu_);
@@ -175,53 +164,6 @@ class LsimCacheView {
 };
 
 inline LsimCacheView LsimCache::LockedView() { return LsimCacheView(this); }
-
-/// \brief Const pointer view of one LsimCache's warmed state, handed out by
-/// LockedReadView() under a SHARED hold of the cache mutex.
-///
-/// The read view can only look up names already registered and similarities
-/// already computed by an exclusive pass (Match or WarmNames) — every method
-/// reports misses instead of filling. Any number of readers scatter from the
-/// table concurrently; callers fall back to the exclusive path on a miss.
-class LsimCacheReadView {
- public:
-  /// Index of `raw` in the side-1 / side-2 registry, or -1 if never seen.
-  int32_t FindSide1(const std::string& raw) const {
-    auto it = side1_->ids.find(raw);
-    return it == side1_->ids.end() ? -1 : it->second;
-  }
-  int32_t FindSide2(const std::string& raw) const {
-    auto it = side2_->ids.find(raw);
-    return it == side2_->ids.end() ? -1 : it->second;
-  }
-
-  const std::vector<NormalizedName>& names1() const { return side1_->names; }
-  const std::vector<NormalizedName>& names2() const { return side2_->names; }
-
-  /// The name-pair similarity table and its computed-cell flags: ns(i, j)
-  /// is meaningful where known(i, j) is set. Registered indices are always
-  /// inside the table (exclusive passes grow it with the registries).
-  const Matrix<double>& ns() const { return *ns_; }
-  const Matrix<uint8_t>& known() const { return *known_; }
-
- private:
-  friend class LsimCache;
-
-  explicit LsimCacheReadView(const LsimCache* cache)
-      : side1_(&cache->side1_),
-        side2_(&cache->side2_),
-        ns_(&cache->ns_),
-        known_(&cache->known_) {}
-
-  const LsimCache::SideNames* side1_;
-  const LsimCache::SideNames* side2_;
-  const Matrix<double>* ns_;
-  const Matrix<uint8_t>* known_;
-};
-
-inline LsimCacheReadView LsimCache::LockedReadView() const {
-  return LsimCacheReadView(this);
-}
 
 }  // namespace cupid
 

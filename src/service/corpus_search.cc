@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <unordered_set>
 #include <utility>
 
@@ -28,8 +27,7 @@ double MsSince(Clock::time_point start) {
 /// Distinct informative token texts of every element name: the pre-screen's
 /// bag. kCommon tokens are excluded (they are down-weighted to near zero in
 /// real name similarity, so letting them create overlap would only blur the
-/// screen). Built from the normalizer directly — no matcher, no cache — so
-/// pre-screen scores are identical with the shared cache on or off.
+/// screen). Built from the normalizer directly, without running the matcher.
 std::unordered_set<std::string> DistinctTokens(const Schema& schema,
                                                const NameNormalizer& norm) {
   std::unordered_set<std::string> texts;
@@ -69,38 +67,16 @@ struct CandidateScore {
   int64_t leaf_elements = 0;
 };
 
-/// Full match of (source, target) through the match pipeline, with the
-/// linguistic phase optionally served from the shared cache: the warmed
-/// read path first, falling back to the exclusive cached path when the
-/// candidate misses (all produce bit-identical lsim, so the score never
-/// depends on which path ran).
+/// Full match of (source, target) through the match pipeline, exactly as
+/// CupidMatcher::Match runs it (fresh lsim, cold structural stages).
 Result<CandidateScore> ScoreCandidate(const Thesaurus* thesaurus,
                                       const CupidConfig& config,
                                       const Schema& source,
-                                      const Schema& target,
-                                      LsimCache* cache) {
-  MatchInputs inputs;
-  obs::Counter* hits = nullptr;  // the shared cache's, when one is used
-  obs::Counter* misses = nullptr;
-  if (cache != nullptr) {
-    static obs::Counter* shared_hits = obs::MetricsRegistry::Default()->GetCounter(
-        "cupid.corpus.shared_cache.hits",
-        "Candidates whose linguistic phase was served warm from the shared cache");
-    static obs::Counter* shared_misses = obs::MetricsRegistry::Default()->GetCounter(
-        "cupid.corpus.shared_cache.misses",
-        "Candidates that fell back to the exclusive cached path");
-    hits = shared_hits;
-    misses = shared_misses;
-    inputs.lsim = LsimSource::kSharedView;
-    inputs.cache = cache;
-  }
+                                      const Schema& target) {
   CandidateScore out;
   CUPID_RETURN_NOT_OK(RunMatchPipeline(
-      thesaurus, config, source, target, inputs, "corpus.candidate",
+      thesaurus, config, source, target, MatchInputs(), "corpus.candidate",
       [&](MatchRun run) {
-        if (hits != nullptr) {
-          (run.lsim == LsimSource::kSharedView ? hits : misses)->Increment();
-        }
         out.score = CorpusRankingScore(run.result);
         out.leaf_elements =
             static_cast<int64_t>(run.result.leaf_mapping.size());
@@ -140,8 +116,6 @@ Status SearchRequest::Validate() const {
   return config.Validate();
 }
 
-Status CorpusSearchService::Options::Validate() const { return Status::OK(); }
-
 std::string SearchResponse::ToJson() const {
   JsonWriter w;
   w.BeginObject();
@@ -158,8 +132,6 @@ std::string SearchResponse::ToJson() const {
   w.Int(candidates_pruned);
   w.Key("full_matches");
   w.Int(full_matches);
-  w.Key("shared_cache");
-  w.Bool(shared_cache);
   w.Key("timings");
   w.BeginObject();
   w.Key("total_ms");
@@ -190,45 +162,6 @@ std::string SearchResponse::ToJson() const {
   return std::move(w).str();
 }
 
-CorpusSearchService::CorpusSearchService(const Thesaurus* thesaurus,
-                                         SchemaRepository* repository,
-                                         JobScheduler* scheduler,
-                                         Options options)
-    : thesaurus_(thesaurus),
-      repository_(repository),
-      scheduler_(scheduler),
-      options_(options) {}
-
-LsimCache* CorpusSearchService::SharedCacheFor(const CupidConfig& config) {
-  // Key on exactly the fields LinguisticMatcher's cache binding check
-  // compares (bit patterns, so e.g. -0.0 vs 0.0 never alias): requests
-  // whose bindings agree share one cache — and one TokenInterner — across
-  // searches; anything else gets its own.
-  const LinguisticOptions& lo = config.linguistic;
-  std::string key;
-  auto add_double = [&key](double v) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    key += StringFormat("%016llx.", static_cast<unsigned long long>(bits));
-  };
-  add_double(lo.substring.scale);
-  key += StringFormat("%llu.",
-                      static_cast<unsigned long long>(lo.substring.min_affix));
-  for (double w : lo.token_weights.w) add_double(w);
-
-  MutexLock lock(&caches_mu_);
-  std::unique_ptr<LsimCache>& slot = caches_[key];
-  if (slot == nullptr) {
-    slot = std::make_unique<LsimCache>(thesaurus_, lo);
-  }
-  return slot.get();
-}
-
-void CorpusSearchService::InvalidateAll() {
-  MutexLock lock(&caches_mu_);
-  caches_.clear();
-}
-
 Result<SearchResponse> CorpusSearchService::Search(
     const SearchRequest& request) {
   obs::TraceContext trace_ctx("search");
@@ -236,7 +169,6 @@ Result<SearchResponse> CorpusSearchService::Search(
   obs::ScopedSpan span("corpus.search");
 
   Clock::time_point t_start = Clock::now();
-  CUPID_RETURN_NOT_OK(options_.Validate());
   CUPID_RETURN_NOT_OK(request.Validate());
 
   CUPID_ASSIGN_OR_RETURN(
@@ -279,8 +211,8 @@ Result<SearchResponse> CorpusSearchService::Search(
   response.timings.prescreen_ms = MsSince(t_prescreen);
 
   // Survivors of the screen, in (prescreen desc, name asc) order. The kept
-  // indices are then restored to name order so the execution schedule —
-  // and every warm/submit sequence — is independent of pre-screen scores.
+  // indices are then restored to name order so the execution schedule is
+  // independent of pre-screen scores.
   std::vector<size_t> kept(candidates.size());
   for (size_t i = 0; i < kept.size(); ++i) kept[i] = i;
   const bool prune = request.prune && !request.exhaustive;
@@ -306,25 +238,11 @@ Result<SearchResponse> CorpusSearchService::Search(
   response.full_matches = static_cast<int64_t>(kept.size());
 
   Clock::time_point t_match = Clock::now();
-  LsimCache* cache = nullptr;
-  if (options_.share_lsim_cache) {
-    cache = SharedCacheFor(request.config);
-    response.shared_cache = true;
-    // Exclusive warm phase: register names and fill every name-pair
-    // similarity each survivor will need, so the sharded phase below reads
-    // the table under a shared lock without ever mutating it. Warm work is
-    // what repeated searches amortize — a probe already seen costs nothing
-    // here.
-    for (size_t idx : kept) {
-      LinguisticMatcher linguistic(thesaurus_, request.config.linguistic);
-      CUPID_RETURN_NOT_OK(linguistic.WarmNames(
-          *source.schema, *candidates[idx].snapshot.schema, cache));
-    }
-    obs::MetricsRegistry::Default()
-        ->GetCounter("cupid.corpus.shared_cache.warms",
-                     "Candidate schemas warmed into the shared cache")
-        ->Add(static_cast<int64_t>(kept.size()));
-  }
+  // Sharded candidates run single-threaded: the scheduler's workers are the
+  // parallelism, and per-candidate pools on top of them only oversubscribe
+  // the host. Results are identical at any thread count.
+  CupidConfig candidate_config = request.config;
+  if (scheduler_ != nullptr) candidate_config.SetNumThreads(1);
 
   // Sharded scoring: one task per survivor, each writing its preallocated
   // slot (the job's done-handshake orders the write before our read), so
@@ -335,9 +253,8 @@ Result<SearchResponse> CorpusSearchService::Search(
       kept.size(), Result<CandidateScore>(Status::Internal("pending")));
   auto run_one = [&](size_t slot_index) {
     const Candidate& c = candidates[kept[slot_index]];
-    slots[slot_index] = ScoreCandidate(thesaurus_, request.config,
-                                       *source.schema, *c.snapshot.schema,
-                                       cache);
+    slots[slot_index] = ScoreCandidate(thesaurus_, candidate_config,
+                                       *source.schema, *c.snapshot.schema);
   };
   if (scheduler_ != nullptr) {
     std::vector<std::shared_ptr<MatchJob>> jobs(kept.size());
@@ -404,7 +321,6 @@ Result<SearchResponse> CorpusSearchService::Search(
   span.Attr("candidates_total", response.candidates_total);
   span.Attr("candidates_pruned", response.candidates_pruned);
   span.Attr("full_matches", response.full_matches);
-  span.Attr("shared_cache", response.shared_cache ? 1 : 0);
   span.Attr("prescreen_ms", response.timings.prescreen_ms);
   span.Attr("match_ms", response.timings.match_ms);
   return response;

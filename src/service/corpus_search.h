@@ -3,43 +3,39 @@
 // The corpus-scale scenario of Section 8.4: a repository stores hundreds of
 // schemas and the serving question is "which of them best matches this
 // one?". Running the full three-phase matcher against every stored schema
-// is the naive answer; this service layers three optimizations on top of
-// it, each preserving bit-identical results:
+// is the naive answer; this service layers two optimizations on top of it,
+// each preserving bit-identical results:
 //
-//   1. one shared cross-pair LsimCache (single TokenInterner) for the whole
-//      service: the probe schema's name-pair work is paid once, candidates
-//      read the warmed similarity table concurrently under a shared lock
-//      (LinguisticMatcher::MatchWarmed);
-//   2. a cheap linguistic pre-screen — distinct-token cosine overlap,
+//   1. a cheap linguistic pre-screen — distinct-token cosine overlap,
 //      computed without touching the matcher — prunes the candidate set to
 //      top-k' before any full TreeMatch runs (an exhaustive knob disables
 //      it when recall must be perfect);
-//   3. the surviving candidates shard over a JobScheduler; results land in
+//   2. the surviving candidates shard over a JobScheduler; results land in
 //      per-candidate slots, so ranking is deterministic and bit-identical
 //      to a serial per-pair loop at any thread count.
 //
+// Each candidate runs the same pipeline as CupidMatcher::Match (fresh lsim,
+// no cache). Sharded candidates run single-threaded — the scheduler's
+// workers already supply the parallelism; without a scheduler the request's
+// own thread count applies.
+//
 // tests/corpus_search_test.cc pins the equality: ranked hits (order and
 // scores) match an exhaustive per-pair CupidMatcher sweep across thread
-// counts and with the shared cache on or off.
+// counts.
 
 #ifndef CUPID_SERVICE_CORPUS_SEARCH_H_
 #define CUPID_SERVICE_CORPUS_SEARCH_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.h"
 #include "core/cupid_matcher.h"
-#include "linguistic/lsim_cache.h"
 #include "service/job_scheduler.h"
 #include "service/schema_repository.h"
 #include "thesaurus/thesaurus.h"
-#include "util/mutex.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace cupid {
 
@@ -87,8 +83,8 @@ struct SearchTimings {
   double total_ms = 0.0;
   /// Candidate enumeration + pre-screen scoring.
   double prescreen_ms = 0.0;
-  /// Cache warming plus every full per-candidate match (wall clock of the
-  /// sharded phase, not the sum of per-candidate times).
+  /// Every full per-candidate match (wall clock of the sharded phase, not
+  /// the sum of per-candidate times).
   double match_ms = 0.0;
 };
 
@@ -109,8 +105,6 @@ struct SearchResponse {
   int64_t candidates_pruned = 0;
   /// Candidates that went through the full three-phase matcher.
   int64_t full_matches = 0;
-  /// The shared cross-pair LsimCache served this search.
-  bool shared_cache = false;
 
   SearchTimings timings;
 
@@ -129,29 +123,15 @@ double CorpusRankingScore(const MatchResult& result);
 /// \brief Ranked one-vs-N search front door over a SchemaRepository.
 class CorpusSearchService {
  public:
-  struct Options {
-    /// Serve linguistic name-pair work from one service-wide LsimCache per
-    /// option binding (off = every candidate pays its own linguistic
-    /// phase; results are bit-identical either way — the ablation knob the
-    /// bench and tests exercise).
-    bool share_lsim_cache = true;
-
-    /// InvalidArgument on out-of-domain values; checked on every Search.
-    Status Validate() const;
-  };
-
   /// `thesaurus` and `repository` must outlive the service. `scheduler` is
   /// optional (null = candidates run serially on the calling thread) and
   /// must also outlive the service; search shards per-candidate work
   /// through JobScheduler::SubmitTask, so one scheduler can serve match
   /// and search traffic concurrently.
   CorpusSearchService(const Thesaurus* thesaurus,
-                      SchemaRepository* repository, JobScheduler* scheduler,
-                      Options options);
-  CorpusSearchService(const Thesaurus* thesaurus,
                       SchemaRepository* repository,
                       JobScheduler* scheduler = nullptr)
-      : CorpusSearchService(thesaurus, repository, scheduler, Options()) {}
+      : thesaurus_(thesaurus), repository_(repository), scheduler_(scheduler) {}
 
   CorpusSearchService(const CorpusSearchService&) = delete;
   CorpusSearchService& operator=(const CorpusSearchService&) = delete;
@@ -163,27 +143,10 @@ class CorpusSearchService {
 
   SchemaRepository* repository() const { return repository_; }
 
-  /// \brief Drops the shared linguistic caches (required after the backing
-  /// repository is replaced wholesale, mirroring
-  /// MatchService::InvalidateAll).
-  void InvalidateAll();
-
  private:
-  /// The shared cache for the request's linguistic option binding, created
-  /// on first use. One cache (and thus one TokenInterner) per binding;
-  /// requests with equal bindings share it across searches.
-  LsimCache* SharedCacheFor(const CupidConfig& config);
-
   const Thesaurus* thesaurus_;
   SchemaRepository* repository_;
   JobScheduler* scheduler_;
-  Options options_;
-
-  mutable Mutex caches_mu_;
-  /// Keyed by the linguistic option fields the cache binding check uses
-  /// (substring scale/min_affix, token type weights).
-  std::unordered_map<std::string, std::unique_ptr<LsimCache>> caches_
-      GUARDED_BY(caches_mu_);
 };
 
 }  // namespace cupid

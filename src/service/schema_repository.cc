@@ -354,7 +354,13 @@ Status SchemaRepository::LoadInto(const std::string& dir, StorageEnv* env,
                        parsed.status().ToString().c_str()));
     }
     std::string name = parsed->GetString("name");
-    int version = static_cast<int>(parsed->GetInt("version"));
+    Result<int> version_field = parsed->GetInt("version");
+    Result<int> parent_field = parsed->GetInt("parent");
+    if (!version_field.ok() || !parent_field.ok()) {
+      return Status::ParseError(StringFormat(
+          "manifest line %d: version/parent must be integers", line_number));
+    }
+    int version = *version_field;
     std::string file = parsed->GetString("file");
     if (name.empty() || version < 1 || file.empty()) {
       return Status::ParseError(StringFormat(
@@ -380,7 +386,7 @@ Status SchemaRepository::LoadInto(const std::string& dir, StorageEnv* env,
     }
     auto schema = ParseNativeSchema(content);
     if (!schema.ok()) return schema.status();
-    int parent = static_cast<int>(parsed->GetInt("parent", 0));
+    int parent = *parent_field;
     if (parent != 0 && parent != version - 1) {
       return Status::ParseError(
           StringFormat("manifest line %d: %s@v%d has invalid parent %d",

@@ -2,7 +2,9 @@
 
 #include <cassert>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "util/strings.h"
 
@@ -113,10 +115,17 @@ double JsonValue::GetNumber(std::string_view key, double fallback) const {
   return (v && v->type == Type::kNumber) ? v->number : fallback;
 }
 
-int64_t JsonValue::GetInt(std::string_view key, int64_t fallback) const {
+Result<int> JsonValue::GetInt(std::string_view key, int fallback) const {
   const JsonValue* v = Find(key);
-  return (v && v->type == Type::kNumber) ? static_cast<int64_t>(v->number)
-                                         : fallback;
+  if (v == nullptr) return fallback;
+  // The range test also rejects infinities; NaN fails the integral test.
+  if (v->type != Type::kNumber || v->number != std::trunc(v->number) ||
+      v->number < static_cast<double>(std::numeric_limits<int>::min()) ||
+      v->number > static_cast<double>(std::numeric_limits<int>::max())) {
+    return Status::InvalidArgument(std::string(key) +
+                                   " must be an integer within int range");
+  }
+  return static_cast<int>(v->number);
 }
 
 bool JsonValue::GetBool(std::string_view key, bool fallback) const {

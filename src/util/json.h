@@ -101,8 +101,12 @@ struct JsonValue {
   /// of the wrong type is NOT coerced; the fallback is returned.
   std::string GetString(std::string_view key, std::string fallback = "") const;
   double GetNumber(std::string_view key, double fallback = 0.0) const;
-  int64_t GetInt(std::string_view key, int64_t fallback = 0) const;
   bool GetBool(std::string_view key, bool fallback = false) const;
+
+  /// \brief Checked integer member: `fallback` when absent; InvalidArgument
+  /// when present but not a number, not integral, or outside int's range
+  /// (a bare cast would wrap 2^32 + 1 to 1, or be undefined past 2^63).
+  Result<int> GetInt(std::string_view key, int fallback = 0) const;
 };
 
 /// \brief Parses exactly one JSON document (trailing whitespace allowed;

@@ -13,7 +13,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "util/thread_annotations.h"
 
@@ -49,58 +48,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
-};
-
-/// \brief std::shared_mutex with thread-safety-analysis attributes.
-///
-/// Writer/reader lock for state that is mostly read concurrently and only
-/// occasionally mutated (the corpus-search shared LsimCache: candidate
-/// matches read the warmed name-pair table in parallel, warming is
-/// exclusive). Exclusive mode composes with GUARDED_BY exactly like Mutex;
-/// shared mode satisfies REQUIRES_SHARED-annotated read paths.
-class CAPABILITY("mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() ACQUIRE() { mu_.lock(); }
-  void Unlock() RELEASE() { mu_.unlock(); }
-  void LockShared() ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void UnlockShared() RELEASE_SHARED() { mu_.unlock_shared(); }
-
- private:
-  std::shared_mutex mu_;
-};
-
-/// \brief RAII exclusive (writer) guard over SharedMutex.
-class SCOPED_CAPABILITY SharedMutexLock {
- public:
-  explicit SharedMutexLock(SharedMutex* mu) ACQUIRE(mu) : mu_(mu) {
-    mu_->Lock();
-  }
-  ~SharedMutexLock() RELEASE() { mu_->Unlock(); }
-
-  SharedMutexLock(const SharedMutexLock&) = delete;
-  SharedMutexLock& operator=(const SharedMutexLock&) = delete;
-
- private:
-  SharedMutex* const mu_;
-};
-
-/// \brief RAII shared (reader) guard over SharedMutex.
-class SCOPED_CAPABILITY SharedReaderLock {
- public:
-  explicit SharedReaderLock(SharedMutex* mu) ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_->LockShared();
-  }
-  ~SharedReaderLock() RELEASE() { mu_->UnlockShared(); }
-
-  SharedReaderLock(const SharedReaderLock&) = delete;
-  SharedReaderLock& operator=(const SharedReaderLock&) = delete;
-
- private:
-  SharedMutex* const mu_;
 };
 
 /// \brief Condition variable usable with Mutex.

@@ -1,7 +1,7 @@
 // Tests for src/service/corpus_search.h: the ranked one-vs-N search must be
 // bit-identical to an exhaustive per-pair CupidMatcher sweep — same order,
 // same scores — no matter how it is executed (serial, sharded over a
-// scheduler, shared LsimCache on or off, admission-rejected inline
+// scheduler with one thread per candidate, admission-rejected inline
 // fallback), repeated searches must be bit-identical, pruning must keep the
 // planted best match, and out-of-domain requests must be rejected loudly.
 
@@ -108,33 +108,29 @@ TEST(CorpusSearch, ExhaustiveEqualsNaiveSweepAcrossExecutionModes) {
   std::vector<SearchHit> want = NaiveSweep(&thesaurus, request.config, &repo,
                                            "probe", request.top_k);
 
-  for (bool shared_cache : {false, true}) {
-    for (int threads : {0, 1, 4}) {  // 0 = no scheduler (serial path)
-      MatchService match_service(&thesaurus, &repo);
-      std::unique_ptr<JobScheduler> scheduler;
-      if (threads > 0) {
-        JobScheduler::Options sched_opt;
-        sched_opt.num_threads = threads;
-        scheduler = std::make_unique<JobScheduler>(&match_service, sched_opt);
-      }
-      CorpusSearchService::Options opt;
-      opt.share_lsim_cache = shared_cache;
-      CorpusSearchService search(&thesaurus, &repo, scheduler.get(), opt);
-
-      auto response = search.Search(request);
-      ASSERT_TRUE(response.ok()) << response.status().ToString();
-      std::string context = std::string("shared_cache=") +
-                            (shared_cache ? "1" : "0") +
-                            " threads=" + std::to_string(threads);
-      EXPECT_EQ(response->candidates_total,
-                static_cast<int64_t>(corpus.targets.size()))
-          << context;
-      EXPECT_EQ(response->candidates_pruned, 0) << context;
-      EXPECT_EQ(response->full_matches, response->candidates_total)
-          << context;
-      EXPECT_EQ(response->shared_cache, shared_cache) << context;
-      ExpectHitsEqual(response->hits, want, context);
+  // 0 = no scheduler: candidates run serially with the request's default
+  // thread count. With a scheduler each sharded candidate runs
+  // single-threaded.
+  for (int threads : {0, 1, 4}) {
+    MatchService match_service(&thesaurus, &repo);
+    std::unique_ptr<JobScheduler> scheduler;
+    if (threads > 0) {
+      JobScheduler::Options sched_opt;
+      sched_opt.num_threads = threads;
+      scheduler = std::make_unique<JobScheduler>(&match_service, sched_opt);
     }
+    CorpusSearchService search(&thesaurus, &repo, scheduler.get());
+
+    auto response = search.Search(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    std::string context = "threads=" + std::to_string(threads);
+    EXPECT_EQ(response->candidates_total,
+              static_cast<int64_t>(corpus.targets.size()))
+        << context;
+    EXPECT_EQ(response->candidates_pruned, 0) << context;
+    EXPECT_EQ(response->full_matches, response->candidates_total)
+        << context;
+    ExpectHitsEqual(response->hits, want, context);
   }
 }
 
@@ -156,8 +152,8 @@ TEST(CorpusSearch, RepeatedSearchesAreBitIdentical) {
 
   auto first = search.Search(request);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  // The second and third searches serve name-pair work from the warmed
-  // shared cache (first run filled it); results must not move by a bit.
+  // Searches keep no state between calls: the second and third run the
+  // same candidates again and must not move by a bit.
   for (int run = 0; run < 2; ++run) {
     auto again = search.Search(request);
     ASSERT_TRUE(again.ok()) << again.status().ToString();

@@ -1,8 +1,9 @@
 // Tests for src/net: the wakeup pipe and poll-based line reader, the
 // SocketServer (framing, boundary validation, backpressure, disconnect
 // handling), the SubscriptionBroker (delta pushes, ordering, lifecycle),
-// and the validation-audit satellites (IsValidUtf8 at the boundary,
-// JobScheduler::Options::Validate).
+// the validation-audit satellites (IsValidUtf8 at the boundary,
+// JobScheduler::Options::Validate), and an in-process ProtocolExecutor for
+// the search command and the checked integer fields of requests.
 //
 // Socket tests run a real server on an ephemeral loopback port with its
 // Run() loop on a background thread; clients are plain blocking sockets
@@ -18,10 +19,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/config.h"
 #include "incremental/schema_edit.h"
 #include "net/poll_reader.h"
 #include "net/protocol.h"
@@ -555,7 +559,7 @@ TEST(SubscriptionTest, PushesOrderedPerConnectionUnderConcurrentEdits) {
     ASSERT_EQ(parsed->GetString("event"), "push");
     const JsonValue* edited = parsed->Find("edited");
     ASSERT_NE(edited, nullptr);
-    int version = static_cast<int>(edited->GetInt("version"));
+    int version = *edited->GetInt("version");
     EXPECT_GT(version, last_version) << "out-of-order push";
     last_version = version;
   }
@@ -603,6 +607,144 @@ TEST(SubscriptionTest, SubscribeValidatesPair) {
   ASSERT_TRUE(client.Send("{\"cmd\":\"subscribe\",\"source\":\"a\"}"));
   r = client.ReadLine();
   EXPECT_NE(r.find("\"InvalidArgument\""), std::string::npos) << r;
+}
+
+// ---------------------------------------------------------------------------
+// ProtocolExecutor in process: the search command and integer knobs
+// ---------------------------------------------------------------------------
+
+/// An in-process stdin-mode executor over a repository, with a scheduler
+/// and (optionally) a corpus search service. Execute collects the frames.
+class ExecutorFixture {
+ public:
+  explicit ExecutorFixture(bool with_search) {
+    thesaurus_ = DefaultThesaurus();
+    service_ = std::make_unique<MatchService>(&thesaurus_, &repo_);
+    JobScheduler::Options scheduler_options;
+    scheduler_options.num_threads = 2;
+    scheduler_ = std::make_unique<JobScheduler>(service_.get(),
+                                                scheduler_options);
+    if (with_search) {
+      search_ = std::make_unique<CorpusSearchService>(&thesaurus_, &repo_,
+                                                      scheduler_.get());
+    }
+    executor_ = std::make_unique<ProtocolExecutor>(
+        &thesaurus_, &repo_, service_.get(), scheduler_.get(), search_.get(),
+        /*broker=*/nullptr, ProtocolExecutor::Options());
+  }
+
+  /// The frames one request line produced.
+  std::vector<std::string> Execute(const std::string& line) {
+    std::vector<std::string> frames;
+    executor_->Execute(0, line, [&frames](const std::string& frame) {
+      frames.push_back(frame);
+    });
+    return frames;
+  }
+
+  /// Registers the six shipped data/ schemas the CI server smoke uses.
+  void RegisterShippedSchemas() {
+    const std::pair<const char*, const char*> kFiles[] = {
+        {"cidx", "cidx.xml"},   {"excel", "excel.xml"},
+        {"po", "po.cupid"},     {"order", "purchase_order.cupid"},
+        {"rdb", "rdb.sql"},     {"star", "star.sql"}};
+    for (const auto& [name, file] : kFiles) {
+      std::vector<std::string> frames = Execute(
+          StringFormat("{\"cmd\":\"register\",\"name\":\"%s\","
+                       "\"file\":\"%s/%s\"}",
+                       name, CUPID_DATA_DIR, file));
+      ASSERT_EQ(frames.size(), 1u) << name;
+      EXPECT_EQ(JsonField(frames[0], "status"), "ok") << frames[0];
+    }
+  }
+
+ private:
+  Thesaurus thesaurus_;
+  SchemaRepository repo_;
+  std::unique_ptr<MatchService> service_;
+  std::unique_ptr<JobScheduler> scheduler_;
+  std::unique_ptr<CorpusSearchService> search_;
+  std::unique_ptr<ProtocolExecutor> executor_;
+};
+
+/// The error code of a lone error frame ("" for anything else).
+std::string ErrorCode(const std::vector<std::string>& frames) {
+  if (frames.size() != 1) return "";
+  auto parsed = ParseJson(frames[0]);
+  if (!parsed.ok() || parsed->GetString("status") != "error") return "";
+  const JsonValue* error = parsed->Find("error");
+  return error == nullptr ? "" : error->GetString("code");
+}
+
+TEST(ProtocolSearchTest, RanksThePurchaseOrderFirst) {
+  ExecutorFixture fx(/*with_search=*/true);
+  fx.RegisterShippedSchemas();
+  std::vector<std::string> frames =
+      fx.Execute("{\"cmd\":\"search\",\"source\":\"po\",\"top_k\":3}");
+  ASSERT_EQ(frames.size(), 1u);
+  auto parsed = ParseJson(frames[0]);
+  ASSERT_TRUE(parsed.ok()) << frames[0];
+  EXPECT_EQ(*parsed->GetInt("v"), kProtocolVersion);
+  EXPECT_EQ(parsed->GetString("status"), "ok") << frames[0];
+  EXPECT_EQ(parsed->GetString("cmd"), "search");
+  EXPECT_EQ(*parsed->GetInt("candidates_total"), 5);
+  const JsonValue* hits = parsed->Find("hits");
+  ASSERT_NE(hits, nullptr);
+  ASSERT_EQ(hits->array.size(), 3u) << frames[0];
+  EXPECT_EQ(hits->array[0].GetString("target"), "order") << frames[0];
+}
+
+TEST(ProtocolSearchTest, WithoutSearchServiceAnswersUnsupported) {
+  ExecutorFixture fx(/*with_search=*/false);
+  fx.RegisterShippedSchemas();
+  std::vector<std::string> frames =
+      fx.Execute("{\"cmd\":\"search\",\"source\":\"po\",\"top_k\":3}");
+  EXPECT_EQ(ErrorCode(frames), "Unsupported");
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(*ParseJson(frames[0])->GetInt("v"), kProtocolVersion);
+  EXPECT_EQ(JsonField(frames[0], "cmd"), "search");
+}
+
+TEST(ProtocolIntegerTest, RejectsOutOfRangeAndFractionalIntegers) {
+  ExecutorFixture fx(/*with_search=*/true);
+  fx.RegisterShippedSchemas();
+  // 2^32 + 1 must not narrow to top_k 1.
+  EXPECT_EQ(ErrorCode(fx.Execute("{\"cmd\":\"search\",\"source\":\"po\","
+                                 "\"top_k\":4294967297}")),
+            "InvalidArgument");
+  EXPECT_EQ(ErrorCode(fx.Execute("{\"cmd\":\"search\",\"source\":\"po\","
+                                 "\"top_k\":2.5}")),
+            "InvalidArgument");
+  EXPECT_EQ(ErrorCode(fx.Execute("{\"cmd\":\"search\",\"source\":\"po\","
+                                 "\"top_k\":1e300}")),
+            "InvalidArgument");
+  EXPECT_EQ(ErrorCode(fx.Execute("{\"cmd\":\"match\",\"source\":\"po\","
+                                 "\"target\":\"order\","
+                                 "\"source_version\":-4294967295}")),
+            "InvalidArgument");
+}
+
+TEST(ProtocolIntegerTest, RejectsThreadCountsAboveTheCap) {
+  // Only unregistered names: a run that got past validation would fail
+  // with NotFound before any match (and so any thread pool) starts.
+  ExecutorFixture fx(/*with_search=*/true);
+  EXPECT_EQ(ErrorCode(fx.Execute(
+                "{\"cmd\":\"match\",\"source\":\"nope1\","
+                "\"target\":\"nope2\",\"config\":{\"num_threads\":1000000}}")),
+            "InvalidArgument");
+  EXPECT_EQ(ErrorCode(fx.Execute(
+                "{\"cmd\":\"search\",\"source\":\"nope1\","
+                "\"config\":{\"num_threads\":1000000}}")),
+            "InvalidArgument");
+
+  CupidConfig config;
+  config.SetNumThreads(kMaxNumThreads);
+  EXPECT_TRUE(config.Validate().ok());
+  config.SetNumThreads(kMaxNumThreads + 1);
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+  config.SetNumThreads(1);
+  config.tree_match.num_threads = kMaxNumThreads + 1;
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

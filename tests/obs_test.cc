@@ -149,9 +149,9 @@ TEST(MetricsRegistryTest, RenderJsonIsParseableAndComplete) {
   ASSERT_TRUE(parsed->is_array());
   ASSERT_EQ(parsed->array.size(), 2u);
   EXPECT_EQ(parsed->array[0].GetString("name"), "test.count");
-  EXPECT_EQ(parsed->array[0].GetInt("value", -1), 41);
+  EXPECT_EQ(*parsed->array[0].GetInt("value", -1), 41);
   EXPECT_EQ(parsed->array[1].GetString("type"), "histogram");
-  EXPECT_EQ(parsed->array[1].GetInt("count", -1), 1);
+  EXPECT_EQ(*parsed->array[1].GetInt("count", -1), 1);
 }
 
 TEST(MetricsRegistryTest, RenderPrometheusUsesCumulativeBuckets) {
@@ -229,11 +229,11 @@ TEST(TraceTest, FormatSpanJsonIsOneParseableLine) {
   ASSERT_TRUE(parsed.ok()) << line;
   EXPECT_EQ(parsed->GetString("span"), "phase");
   EXPECT_EQ(parsed->GetString("label"), "req");
-  EXPECT_EQ(parsed->GetInt("depth", -1), 2);
-  EXPECT_EQ(parsed->GetInt("dur_us", -1), 250);
+  EXPECT_EQ(*parsed->GetInt("depth", -1), 2);
+  EXPECT_EQ(*parsed->GetInt("dur_us", -1), 250);
   const JsonValue* attrs = parsed->Find("attrs");
   ASSERT_NE(attrs, nullptr);
-  EXPECT_EQ(attrs->GetInt("count", -1), 3);  // integral values print as ints
+  EXPECT_EQ(*attrs->GetInt("count", -1), 3);  // integral values print as ints
   EXPECT_NEAR(attrs->GetNumber("ms", 0.0), 1.234, 1e-3);
 }
 

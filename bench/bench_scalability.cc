@@ -8,7 +8,9 @@
 //     distinct-name dedup), the default;
 //   * naive:  the reference implementation with the perf layer disabled.
 // BM_CachedEqualsNaive cross-checks that both produce identical matrices
-// (the max_abs_diff counters must be 0).
+// (the max_abs_diff counters must be 0), and BM_ThreadsEqualSerial that the
+// default thread count reproduces a one-thread match (sim_max_abs_diff and
+// event_mismatches must be 0).
 //
 // Emit machine-readable results with:
 //   bench_scalability --benchmark_out=BENCH_scalability.json
@@ -156,6 +158,50 @@ void BM_CachedEqualsNaive(benchmark::State& state) {
   state.counters["wsim_max_abs_diff"] = wsim_diff;
 }
 BENCHMARK(BM_CachedEqualsNaive)->Arg(128)->Arg(512)->Iterations(1);
+
+/// Correctness guard for the threaded row fills and the scheduled sweep and
+/// recompute: a full match at the default thread count must equal the
+/// one-thread match in every similarity cell and feedback event.
+void BM_ThreadsEqualSerial(benchmark::State& state) {
+  SyntheticPair p = MakePair(state.range(0));
+  Thesaurus th = DefaultThesaurus();
+  CupidConfig serial_cfg;
+  serial_cfg.SetNumThreads(1);
+
+  double sim_diff = 0.0;
+  int64_t event_mismatches = 0;
+  for (auto _ : state) {
+    auto rd = CupidMatcher(&th, CupidConfig()).Match(p.source, p.target);
+    auto rs = CupidMatcher(&th, serial_cfg).Match(p.source, p.target);
+    if (!rd.ok() || !rs.ok()) {
+      state.SkipWithError("match failed");
+      return;
+    }
+    const NodeSimilarities& sd = rd->tree_match.sims;
+    const NodeSimilarities& ss = rs->tree_match.sims;
+    for (TreeNodeId s = 0; s < sd.source_nodes(); ++s) {
+      for (TreeNodeId t = 0; t < sd.target_nodes(); ++t) {
+        sim_diff = std::max({sim_diff, std::fabs(sd.lsim(s, t) - ss.lsim(s, t)),
+                             std::fabs(sd.ssim(s, t) - ss.ssim(s, t)),
+                             std::fabs(sd.wsim(s, t) - ss.wsim(s, t))});
+      }
+    }
+    const std::vector<FeedbackEvent>& ed = rd->tree_match.events;
+    const std::vector<FeedbackEvent>& es = rs->tree_match.events;
+    const size_t common = std::min(ed.size(), es.size());
+    event_mismatches += static_cast<int64_t>(std::max(ed.size(), es.size()) -
+                                             common);
+    for (size_t k = 0; k < common; ++k) {
+      if (ed[k].source != es[k].source || ed[k].target != es[k].target ||
+          ed[k].direction != es[k].direction) {
+        ++event_mismatches;
+      }
+    }
+  }
+  state.counters["sim_max_abs_diff"] = sim_diff;
+  state.counters["event_mismatches"] = static_cast<double>(event_mismatches);
+}
+BENCHMARK(BM_ThreadsEqualSerial)->Arg(256)->Iterations(1);
 
 }  // namespace
 }  // namespace cupid

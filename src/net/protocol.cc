@@ -52,12 +52,14 @@ Status ApplyConfigJson(const JsonValue& v, CupidConfig* out) {
   if (!config->is_object()) {
     return Status::InvalidArgument("config must be an object");
   }
-  double th = config->GetNumber("th_accept", 0.5);
+  CUPID_ASSIGN_OR_RETURN(double th, config->CheckedNumber("th_accept", 0.5));
   out->mapping.th_accept = th;
   out->tree_match.th_accept = th;
   out->tree_match.th_low = std::min(out->tree_match.th_low, th);
   out->tree_match.th_high = std::max(out->tree_match.th_high, th);
-  if (config->GetBool("one_to_one", false)) {
+  CUPID_ASSIGN_OR_RETURN(bool one_to_one,
+                         config->CheckedBool("one_to_one", false));
+  if (one_to_one) {
     out->mapping.cardinality = MappingCardinality::kOneToOneStable;
   }
   CUPID_ASSIGN_OR_RETURN(int num_threads, config->GetInt("num_threads", 0));
@@ -68,15 +70,17 @@ Status ApplyConfigJson(const JsonValue& v, CupidConfig* out) {
 /// Builds a MatchRequest from the fields of a match/batch JSON object.
 Result<MatchRequest> ParseMatchRequest(const JsonValue& v) {
   MatchRequest request;
-  request.source = v.GetString("source");
-  request.target = v.GetString("target");
+  CUPID_ASSIGN_OR_RETURN(request.source, v.CheckedString("source"));
+  CUPID_ASSIGN_OR_RETURN(request.target, v.CheckedString("target"));
   if (request.source.empty() || request.target.empty()) {
     return Status::InvalidArgument("match needs source and target");
   }
   CUPID_ASSIGN_OR_RETURN(request.source_version, v.GetInt("source_version"));
   CUPID_ASSIGN_OR_RETURN(request.target_version, v.GetInt("target_version"));
-  request.use_result_cache = v.GetBool("use_result_cache", true);
-  request.use_session = v.GetBool("use_session", true);
+  CUPID_ASSIGN_OR_RETURN(request.use_result_cache,
+                         v.CheckedBool("use_result_cache", true));
+  CUPID_ASSIGN_OR_RETURN(request.use_session,
+                         v.CheckedBool("use_session", true));
   CUPID_RETURN_NOT_OK(ApplyConfigJson(v, &request.config));
   CUPID_RETURN_NOT_OK(request.config.Validate());
   return request;
@@ -86,16 +90,18 @@ Result<MatchRequest> ParseMatchRequest(const JsonValue& v) {
 /// validation is left to SearchRequest::Validate inside the service.
 Result<SearchRequest> ParseSearchRequest(const JsonValue& v) {
   SearchRequest request;
-  request.source = v.GetString("source");
+  CUPID_ASSIGN_OR_RETURN(request.source, v.CheckedString("source"));
   if (request.source.empty()) {
     return Status::InvalidArgument("search needs source");
   }
   CUPID_ASSIGN_OR_RETURN(request.source_version, v.GetInt("source_version"));
   CUPID_ASSIGN_OR_RETURN(request.top_k, v.GetInt("top_k", request.top_k));
-  request.exhaustive = v.GetBool("exhaustive", request.exhaustive);
-  request.prune = v.GetBool("prune", request.prune);
-  request.prune_fraction =
-      v.GetNumber("prune_fraction", request.prune_fraction);
+  CUPID_ASSIGN_OR_RETURN(request.exhaustive,
+                         v.CheckedBool("exhaustive", request.exhaustive));
+  CUPID_ASSIGN_OR_RETURN(request.prune, v.CheckedBool("prune", request.prune));
+  CUPID_ASSIGN_OR_RETURN(
+      request.prune_fraction,
+      v.CheckedNumber("prune_fraction", request.prune_fraction));
   CUPID_ASSIGN_OR_RETURN(request.prune_min_keep,
                          v.GetInt("prune_min_keep", request.prune_min_keep));
   CUPID_RETURN_NOT_OK(ApplyConfigJson(v, &request.config));
@@ -103,35 +109,35 @@ Result<SearchRequest> ParseSearchRequest(const JsonValue& v) {
 }
 
 Result<SchemaEdit> ParseEdit(const JsonValue& v) {
-  std::string op = v.GetString("op");
-  std::string path = v.GetString("path");
+  CUPID_ASSIGN_OR_RETURN(std::string op, v.CheckedString("op"));
+  CUPID_ASSIGN_OR_RETURN(std::string path, v.CheckedString("path"));
   if (op == "rename") {
-    std::string to = v.GetString("to");
+    CUPID_ASSIGN_OR_RETURN(std::string to, v.CheckedString("to"));
     if (path.empty() || to.empty()) {
       return Status::InvalidArgument("rename needs path and to");
     }
     return SchemaEdit::RenameElement(EditSide::kSource, path, to);
   }
   if (op == "retype") {
-    CUPID_ASSIGN_OR_RETURN(DataType type,
-                           DataTypeFromName(v.GetString("type")));
+    CUPID_ASSIGN_OR_RETURN(std::string type_name, v.CheckedString("type"));
+    CUPID_ASSIGN_OR_RETURN(DataType type, DataTypeFromName(type_name));
     if (path.empty()) return Status::InvalidArgument("retype needs path");
     return SchemaEdit::ChangeDataType(EditSide::kSource, path, type);
   }
   if (op == "add") {
-    std::string parent = v.GetString("parent");
-    std::string leaf_name = v.GetString("leaf");
+    CUPID_ASSIGN_OR_RETURN(std::string parent, v.CheckedString("parent"));
+    CUPID_ASSIGN_OR_RETURN(std::string leaf_name, v.CheckedString("leaf"));
     if (parent.empty() || leaf_name.empty()) {
       return Status::InvalidArgument("add needs parent and leaf");
     }
     Element leaf;
     leaf.name = leaf_name;
     leaf.kind = ElementKind::kAtomic;
-    leaf.data_type = DataType::kString;
-    if (const JsonValue* type = v.Find("type")) {
-      CUPID_ASSIGN_OR_RETURN(leaf.data_type, DataTypeFromName(type->string));
-    }
-    leaf.optional = v.GetBool("optional", false);
+    CUPID_ASSIGN_OR_RETURN(
+        std::string type_name,
+        v.CheckedString("type", DataTypeName(DataType::kString)));
+    CUPID_ASSIGN_OR_RETURN(leaf.data_type, DataTypeFromName(type_name));
+    CUPID_ASSIGN_OR_RETURN(leaf.optional, v.CheckedBool("optional", false));
     return SchemaEdit::AddElement(EditSide::kSource, parent, std::move(leaf));
   }
   if (op == "remove") {
@@ -208,6 +214,16 @@ class OkFrame {
  private:
   JsonWriter w_;
 };
+
+/// The schema format of a register request carrying its schema as "text".
+Result<SchemaFormat> ParseTextFormat(const JsonValue& v,
+                                     const JsonValue& text) {
+  if (!text.is_string()) {
+    return Status::InvalidArgument("text must be a string");
+  }
+  CUPID_ASSIGN_OR_RETURN(std::string name, v.CheckedString("format", "native"));
+  return SchemaFormatFromName(name);
+}
 
 /// The pair fields of subscribe/unsubscribe: "source"/"target", with
 /// "src"/"tgt" accepted as aliases.
@@ -300,7 +316,7 @@ bool ProtocolExecutor::CmdRegister(const JsonValue& v, const Sink& sink) {
   }
   Result<int> version = Status::Internal("unreachable");
   if (const JsonValue* text = v.Find("text")) {
-    auto format = SchemaFormatFromName(v.GetString("format", "native"));
+    Result<SchemaFormat> format = ParseTextFormat(v, *text);
     if (!format.ok()) {
       sink(ErrorFrame("register", format.status()));
       return false;
@@ -325,15 +341,16 @@ bool ProtocolExecutor::CmdRegister(const JsonValue& v, const Sink& sink) {
 }
 
 bool ProtocolExecutor::CmdEdit(const JsonValue& v, const Sink& sink) {
-  std::string name = v.GetString("name");
-  auto edit = ParseEdit(v);
-  Result<int> version = edit.ok() ? repository_->ApplyEdit(name, *edit)
+  Result<std::string> name = v.CheckedString("name");
+  Result<SchemaEdit> edit =
+      name.ok() ? ParseEdit(v) : Result<SchemaEdit>(name.status());
+  Result<int> version = edit.ok() ? repository_->ApplyEdit(*name, *edit)
                                   : Result<int>(edit.status());
   if (!version.ok()) {
     sink(ErrorFrame("edit", version.status()));
     return false;
   }
-  sink(OkFrame("edit").Str("name", name).Int("version", *version).Finish());
+  sink(OkFrame("edit").Str("name", *name).Int("version", *version).Finish());
   return true;
 }
 
@@ -343,14 +360,19 @@ bool ProtocolExecutor::CmdMatch(const JsonValue& v, const Sink& sink) {
     sink(ErrorFrame("match", request.status()));
     return false;
   }
-  bool include_mappings = v.GetBool("mappings", options_.default_mappings);
+  Result<bool> include_mappings =
+      v.CheckedBool("mappings", options_.default_mappings);
+  if (!include_mappings.ok()) {
+    sink(ErrorFrame("match", include_mappings.status()));
+    return false;
+  }
   CupidConfig config = request->config;
   Result<MatchResponse> response = RunMatch(*std::move(request));
   if (!response.ok()) {
     sink(ErrorFrame("match", response.status()));
     return false;
   }
-  return EmitMatchResponse(*response, config, include_mappings, sink);
+  return EmitMatchResponse(*response, config, *include_mappings, sink);
 }
 
 bool ProtocolExecutor::CmdBatch(const JsonValue& v, const Sink& sink) {
@@ -364,12 +386,15 @@ bool ProtocolExecutor::CmdBatch(const JsonValue& v, const Sink& sink) {
   std::vector<bool> include;
   for (const JsonValue& item : requests->array) {
     auto request = ParseMatchRequest(item);
-    if (!request.ok()) {
-      sink(ErrorFrame("batch", request.status()));
+    Result<bool> mappings =
+        item.CheckedBool("mappings", options_.default_mappings);
+    if (!request.ok() || !mappings.ok()) {
+      sink(ErrorFrame("batch",
+                      request.ok() ? mappings.status() : request.status()));
       return false;
     }
     configs.push_back(request->config);
-    include.push_back(item.GetBool("mappings", options_.default_mappings));
+    include.push_back(*mappings);
     batch.push_back(*std::move(request));
   }
   bool all_ok = true;
@@ -530,7 +555,12 @@ bool ProtocolExecutor::CmdMetrics(const JsonValue& v, const Sink& sink) {
   // Prometheus text page embedded in "text" (multi-line exposition
   // kept inside the JSONL framing).
   obs::MetricsRegistry* reg = obs::MetricsRegistry::Default();
-  std::string format = v.GetString("format", "json");
+  Result<std::string> format_or = v.CheckedString("format", "json");
+  if (!format_or.ok()) {
+    sink(ErrorFrame("metrics", format_or.status()));
+    return false;
+  }
+  const std::string& format = *format_or;
   if (format == "prometheus") {
     JsonWriter w;
     w.BeginObject();

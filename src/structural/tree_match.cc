@@ -1,10 +1,12 @@
 #include "structural/tree_match.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <queue>
 #include <unordered_map>
 
 #include "obs/trace.h"
@@ -75,6 +77,8 @@ struct LazyGroups {
                      std::vector<std::pair<TreeNodeId, TreeNodeId>>>
       propagation;
   std::vector<bool> skip;  // outer-loop skip flags (copy-subtree nodes)
+  /// Every (canonical, copy) node pair of `propagation`, in copy-id order.
+  std::vector<std::pair<TreeNodeId, TreeNodeId>> aligned;
 
   static LazyGroups Analyze(const SchemaTree& tree) {
     LazyGroups g;
@@ -92,9 +96,40 @@ struct LazyGroups {
         root = p;
       }
       g.propagation[dup.canon(root)].push_back({dup.canon(n), n});
+      g.aligned.push_back({dup.canon(n), n});
     }
     return g;
   }
+};
+
+/// What one unit of a scheduled pass recorded: its feedback events in
+/// firing order and its counters.
+struct SweepTally {
+  std::vector<FeedbackEvent> events;
+  TreeMatchStats stats;
+};
+
+/// \brief The partition of the source nodes that the cold sweep and the
+/// Section 7 recompute run by.
+///
+/// A row ns of either pass reads and writes only rows of nodes in ns's
+/// subtree: ns itself, its leaves or depth-k frontier, and its children
+/// (the skip-leaves fast path). Under lazy expansion a canonical row also
+/// writes its copies' rows, so the schedule keeps every copy in the task of
+/// its canonical node. Source subtrees sharing no node thus touch disjoint
+/// rows: each runs its rows in post-order as one task, concurrently with
+/// the others, and sees exactly the values of the serial sweep. Their split
+/// ancestors, the spine, run afterwards, serially in post-order.
+struct SweepSchedule {
+  /// Source nodes grouped by unit, each unit in source post-order: units
+  /// [0, num_tasks) are the subtree tasks, largest first; unit num_tasks is
+  /// the spine.
+  std::vector<TreeNodeId> nodes;
+  /// Unit u runs nodes[unit_begin[u], unit_begin[u + 1]).
+  std::vector<int32_t> unit_begin;
+  /// Per source node, the unit that runs its row.
+  std::vector<int32_t> unit_of;
+  int num_tasks = 1;
 };
 
 /// Implements both the main TreeMatch sweep and the Section 7 recompute
@@ -114,38 +149,33 @@ class TreeMatcher {
   TreeMatchResult Run(const Matrix<float>& element_lsim) {
     TreeMatchResult result;
     result.sims = NodeSimilarities(s_.num_nodes(), t_.num_nodes());
-    {
-      int threads = ThreadPool::EffectiveThreads(opt_.num_threads);
-      std::unique_ptr<ThreadPool> pool;
-      // Spawning workers only pays when the row blocks are big enough to
-      // leave ParallelFor's inline path (2 * its 16-row minimum chunk).
-      if (threads > 1 && s_.num_nodes() >= 32) {
-        pool = std::make_unique<ThreadPool>(threads);
-      }
-      ProjectLsim(element_lsim, &result.sims, pool.get());
-      InitLeafSsim(&result.sims, pool.get());
-    }
+    std::unique_ptr<ThreadPool> pool = MakePool();
+    ProjectLsim(element_lsim, &result.sims, pool.get());
+    InitLeafSsim(&result.sims, pool.get());
 
     LazyGroups lazy;
     if (opt_.lazy_expansion) lazy = LazyGroups::Analyze(s_);
 
-    for (TreeNodeId ns : s_.post_order()) {
-      if (opt_.lazy_expansion && lazy.skip[static_cast<size_t>(ns)]) {
-        result.stats.pairs_skipped_lazy += t_.num_nodes();
-        continue;
-      }
-      for (TreeNodeId nt : t_.post_order()) {
-        ComparePair(ns, nt, &result);
-      }
-      if (opt_.lazy_expansion) {
-        auto it = lazy.propagation.find(ns);
-        if (it != lazy.propagation.end()) {
-          PropagateRows(it->second, &result.sims);
-        }
-      }
-    }
-    result.stats.link_tests = link_tests_;
-    result.stats.scale_ops = scale_ops_;
+    const SweepSchedule schedule =
+        BuildSchedule(pool.get(), opt_.lazy_expansion ? &lazy : nullptr);
+    const std::vector<SweepTally> tallies = RunSchedule(
+        pool.get(), schedule, [&](TreeNodeId ns, SweepTally* tally) {
+          if (opt_.lazy_expansion && lazy.skip[static_cast<size_t>(ns)]) {
+            tally->stats.pairs_skipped_lazy += t_.num_nodes();
+            return;
+          }
+          for (TreeNodeId nt : t_.post_order()) {
+            ComparePair(ns, nt, &result.sims, tally);
+          }
+          if (opt_.lazy_expansion) {
+            auto it = lazy.propagation.find(ns);
+            if (it != lazy.propagation.end()) {
+              PropagateRows(it->second, &result.sims);
+            }
+          }
+        });
+    MergeTallies(schedule, tallies, &result);
+    result.stats.sweep_tasks = schedule.num_tasks;
     return result;
   }
 
@@ -153,29 +183,35 @@ class TreeMatcher {
     // Second pass (Section 7): leaf similarities are final; refresh every
     // wsim and recompute non-leaf ssim from the final leaf state. The
     // integer tallies behind each ssim are recorded so a later incremental
-    // run can adjust them instead of re-scanning.
+    // run can adjust them instead of re-scanning. Rows read only the final
+    // leaf state and the rows below them, so no lazy-expansion constraint
+    // applies to the schedule.
     NodeSimilarities* sims = &result->sims;
     result->counts.strong = Matrix<int32_t>(s_.num_nodes(), t_.num_nodes());
     result->counts.included = Matrix<int32_t>(s_.num_nodes(), t_.num_nodes());
-    for (TreeNodeId ns : s_.post_order()) {
-      for (TreeNodeId nt : t_.post_order()) {
-        if (s_.IsLeaf(ns) && t_.IsLeaf(nt)) {
-          sims->set_wsim(ns, nt,
-                         MixWsim(*sims, ns, nt, sims->ssim(ns, nt), true));
-          continue;
-        }
-        if (PruneByLeafCount(ns, nt)) continue;
-        sims->set_ssim(ns, nt,
-                       StructuralSimilarity(*sims, ns, nt,
-                                            &result->counts.strong(ns, nt),
-                                            &result->counts.included(ns, nt)));
-        // Mix from the float-stored ssim, exactly as ComparePair does; the
-        // incremental recompute copies stored floats across runs and must
-        // reproduce this arithmetic bit for bit.
-        sims->set_wsim(ns, nt,
-                       MixWsim(*sims, ns, nt, sims->ssim(ns, nt), false));
-      }
-    }
+    std::unique_ptr<ThreadPool> pool = MakePool();
+    RunSchedule(
+        pool.get(), BuildSchedule(pool.get(), /*lazy=*/nullptr),
+        [&](TreeNodeId ns, SweepTally*) {
+          for (TreeNodeId nt : t_.post_order()) {
+            if (s_.IsLeaf(ns) && t_.IsLeaf(nt)) {
+              sims->set_wsim(ns, nt, MixWsim(*sims, ns, nt,
+                                             sims->ssim(ns, nt), true));
+              continue;
+            }
+            if (PruneByLeafCount(ns, nt)) continue;
+            sims->set_ssim(
+                ns, nt,
+                StructuralSimilarity(*sims, ns, nt, /*link_tests=*/nullptr,
+                                     &result->counts.strong(ns, nt),
+                                     &result->counts.included(ns, nt)));
+            // Mix from the float-stored ssim, exactly as ComparePair does;
+            // the incremental recompute copies stored floats across runs
+            // and must reproduce this arithmetic bit for bit.
+            sims->set_wsim(ns, nt, MixWsim(*sims, ns, nt,
+                                           sims->ssim(ns, nt), false));
+          }
+        });
   }
 
   /// \brief The warm-started sweep, rebuilt as a gather/visit-list engine:
@@ -271,11 +307,9 @@ class TreeMatcher {
       span.Attr("inc", result.stats.increases_applied);
       span.Attr("dec", result.stats.decreases_applied);
       span.Attr("reused", result.stats.pairs_reused);
-      span.Attr("scale_ops", scale_ops_);
-      span.Attr("link_tests", link_tests_);
+      span.Attr("scale_ops", result.stats.scale_ops);
+      span.Attr("link_tests", result.stats.link_tests);
     }
-    result.stats.link_tests = link_tests_;
-    result.stats.scale_ops = scale_ops_;
     return result;
   }
 
@@ -465,7 +499,8 @@ class TreeMatcher {
           ++stats->pairs_reused;
         } else {
           sims->set_ssim(ns, nt,
-                         StructuralSimilarity(*sims, ns, nt, &strong,
+                         StructuralSimilarity(*sims, ns, nt,
+                                              /*link_tests=*/nullptr, &strong,
                                               &included));
         }
         sims->set_wsim(ns, nt,
@@ -936,8 +971,8 @@ class TreeMatcher {
     if (CanReuse(result->sims, *d, ns, nt)) {
       ++result->stats.pairs_reused;
     } else {
-      const float ssim =
-          static_cast<float>(SweepStructuralSimilarity(*d, ns, nt));
+      const float ssim = static_cast<float>(
+          SweepStructuralSimilarity(*d, ns, nt, &result->stats));
       f = Classify(MixWsim(result->sims, ns, nt, ssim, false));
     }
     if (f != prev) {
@@ -949,11 +984,11 @@ class TreeMatcher {
       ++result->stats.feedback_divergences;
     }
     if (f == Feedback::kIncrease) {
-      ScaleBlockDense(*d, ns, nt, opt_.c_inc);
+      ScaleBlockDense(*d, ns, nt, opt_.c_inc, &result->stats);
       result->events.push_back({ns, nt, int8_t{1}});
       ++result->stats.increases_applied;
     } else if (f == Feedback::kDecrease) {
-      ScaleBlockDense(*d, ns, nt, opt_.c_dec);
+      ScaleBlockDense(*d, ns, nt, opt_.c_dec, &result->stats);
       result->events.push_back({ns, nt, int8_t{-1}});
       ++result->stats.decreases_applied;
     }
@@ -1053,7 +1088,8 @@ class TreeMatcher {
                 t_clean_[static_cast<size_t>(ntv)]) {
               // Clean: the decision reproduces bit-for-bit; replay it.
               ScaleBlockDense(*d, ns, ntv,
-                              e.direction > 0 ? opt_.c_inc : opt_.c_dec);
+                              e.direction > 0 ? opt_.c_inc : opt_.c_dec,
+                              &result->stats);
               result->events.push_back({ns, ntv, e.direction});
               if (e.direction > 0) {
                 ++result->stats.increases_applied;
@@ -1092,9 +1128,10 @@ class TreeMatcher {
 
   /// Structural similarity over the dense leaf state — LinkStrength's exact
   /// arithmetic (w * ssim + (1.0 - w) * lsim on float loads) streamed over
-  /// contiguous dense rows.
+  /// contiguous dense rows. Adds its link tests to `stats`.
   double SweepStructuralSimilarity(const TreeMatchDelta& d, TreeNodeId ns,
-                                   TreeNodeId nt) const {
+                                   TreeNodeId nt,
+                                   TreeMatchStats* stats) const {
     const std::vector<LeafRef>& ls = s_.leaves(ns);
     const std::vector<LeafRef>& lt = t_.leaves(nt);
     const double w = opt_.wstruct_leaf;
@@ -1102,7 +1139,7 @@ class TreeMatcher {
     const bool col_contig = d.target_leaves->range_contiguous(nt);
     const int32_t cb = d.target_leaves->range_begin(nt);
     const int32_t ce = d.target_leaves->range_end(nt);
-    int64_t strong = 0, included = 0;
+    int64_t strong = 0, included = 0, tests = 0;
     for (const LeafRef& x : ls) {
       const int64_t r = d.source_leaves->dense(x.leaf);
       const float* srow = leaf_ssim_.row(r);
@@ -1110,7 +1147,7 @@ class TreeMatcher {
       bool has_link = false;
       if (col_contig) {
         for (int32_t c = cb; c < ce; ++c) {
-          ++link_tests_;
+          ++tests;
           if (w * srow[c] + (1.0 - w) * lrow[c] >= th) {
             has_link = true;
             break;
@@ -1118,7 +1155,7 @@ class TreeMatcher {
         }
       } else {
         for (const LeafRef& y : lt) {
-          ++link_tests_;
+          ++tests;
           int32_t c = d.target_leaves->dense(y.leaf);
           if (w * srow[c] + (1.0 - w) * lrow[c] >= th) {
             has_link = true;
@@ -1137,7 +1174,7 @@ class TreeMatcher {
       const int32_t c = d.target_leaves->dense(y.leaf);
       bool has_link = false;
       for (const LeafRef& x : ls) {
-        ++link_tests_;
+        ++tests;
         const int64_t r = d.source_leaves->dense(x.leaf);
         if (w * leaf_ssim_(r, c) + (1.0 - w) * leaf_lsim_(r, c) >= th) {
           has_link = true;
@@ -1151,6 +1188,7 @@ class TreeMatcher {
         ++included;
       }
     }
+    stats->link_tests += tests;
     return included == 0 ? 0.0
                          : static_cast<double>(strong) /
                                static_cast<double>(included);
@@ -1160,7 +1198,7 @@ class TreeMatcher {
   /// ScaleSsim's exact cast-then-clamp arithmetic, without per-cell 2D
   /// indexing or cache-patching branches.
   void ScaleBlockDense(const TreeMatchDelta& d, TreeNodeId ns, TreeNodeId nt,
-                       double factor) {
+                       double factor, TreeMatchStats* stats) {
     const bool contig = d.source_leaves->range_contiguous(ns) &&
                         d.target_leaves->range_contiguous(nt);
     if (contig) {
@@ -1175,13 +1213,13 @@ class TreeMatcher {
           row[c] = v > 1.0f ? 1.0f : (v < 0.0f ? 0.0f : v);
         }
       }
-      scale_ops_ += static_cast<int64_t>(re - rb) * (ce - cb);
+      stats->scale_ops += static_cast<int64_t>(re - rb) * (ce - cb);
       return;
     }
     for (const LeafRef& x : s_.leaves(ns)) {
       float* row = leaf_ssim_.row(d.source_leaves->dense(x.leaf));
       for (const LeafRef& y : t_.leaves(nt)) {
-        ++scale_ops_;
+        ++stats->scale_ops;
         int32_t c = d.target_leaves->dense(y.leaf);
         float v = static_cast<float>(row[c] * factor);
         row[c] = v > 1.0f ? 1.0f : (v < 0.0f ? 0.0f : v);
@@ -1202,6 +1240,191 @@ class TreeMatcher {
         row[d.target_leaves->leaf(c)] = drow[c];
       }
     }
+  }
+
+  // ---------------------------------------------- the scheduled cold passes --
+
+  /// The pool of the cold passes, or null when one thread is asked for or
+  /// the rows are too few to leave ParallelFor's inline path (2 * its
+  /// 16-row minimum chunk): spawning workers would not pay.
+  std::unique_ptr<ThreadPool> MakePool() const {
+    const int threads = ThreadPool::EffectiveThreads(opt_.num_threads);
+    if (threads <= 1 || s_.num_nodes() < 32) return nullptr;
+    return std::make_unique<ThreadPool>(threads);
+  }
+
+  /// Splits the source tree top-down, largest subtree first, until every
+  /// task holds at most num_nodes / threads nodes or cannot be split.
+  /// Without a pool the whole tree is one task: the serial sweep. `lazy`
+  /// (the sweep under lazy expansion) adds the constraint that no
+  /// canonical/copy pair straddles a split.
+  SweepSchedule BuildSchedule(ThreadPool* pool, const LazyGroups* lazy) const {
+    const int64_t n = s_.num_nodes();
+    const int threads = pool == nullptr ? 1 : pool->size();
+    // Subtree node counts, used only to order and bound the split; a DAG
+    // node is counted once per path, saturating at n.
+    std::vector<int64_t> size(static_cast<size_t>(n), 1);
+    for (TreeNodeId v : s_.post_order()) {
+      int64_t& sv = size[static_cast<size_t>(v)];
+      for (TreeNodeId c : s_.node(v).children) {
+        sv = std::min(n, sv + size[static_cast<size_t>(c)]);
+      }
+    }
+    const int64_t grain = std::max<int64_t>(1, n / threads);
+    std::vector<int64_t> mark(static_cast<size_t>(n), -1);
+    int64_t epoch = 0;
+    std::vector<TreeNodeId> task_roots;
+    // Max-heap on (size, id): deterministic order, largest subtree first.
+    std::priority_queue<std::pair<int64_t, TreeNodeId>> open;
+    open.push({size[static_cast<size_t>(s_.root())], s_.root()});
+    while (!open.empty()) {
+      const TreeNodeId v = open.top().second;
+      const int64_t sv = open.top().first;
+      open.pop();
+      if (sv > grain && !s_.IsLeaf(v) &&
+          ChildSubtreesIndependent(v, lazy, &mark, &epoch)) {
+        for (TreeNodeId c : s_.node(v).children) {
+          open.push({size[static_cast<size_t>(c)], c});
+        }
+      } else {
+        task_roots.push_back(v);
+      }
+    }
+
+    SweepSchedule schedule;
+    schedule.num_tasks = static_cast<int>(task_roots.size());
+    // Every node outside the task subtrees (split ancestors, and nodes the
+    // root does not reach, which follow it in post-order) is spine.
+    schedule.unit_of.assign(static_cast<size_t>(n), schedule.num_tasks);
+    std::vector<TreeNodeId> stack;
+    for (int u = 0; u < schedule.num_tasks; ++u) {
+      stack.push_back(task_roots[static_cast<size_t>(u)]);
+      while (!stack.empty()) {
+        const TreeNodeId x = stack.back();
+        stack.pop_back();
+        int32_t& owner = schedule.unit_of[static_cast<size_t>(x)];
+        if (owner == u) continue;
+        owner = u;
+        for (TreeNodeId c : s_.node(x).children) stack.push_back(c);
+      }
+    }
+    // Group the post-order by unit (a stable counting sort).
+    schedule.unit_begin.assign(static_cast<size_t>(schedule.num_tasks) + 2,
+                               0);
+    for (int32_t u : schedule.unit_of) {
+      ++schedule.unit_begin[static_cast<size_t>(u) + 1];
+    }
+    for (size_t u = 1; u < schedule.unit_begin.size(); ++u) {
+      schedule.unit_begin[u] += schedule.unit_begin[u - 1];
+    }
+    schedule.nodes.resize(static_cast<size_t>(n));
+    std::vector<int32_t> fill(schedule.unit_begin.begin(),
+                              schedule.unit_begin.end() - 1);
+    for (TreeNodeId v : s_.post_order()) {
+      const int32_t u = schedule.unit_of[static_cast<size_t>(v)];
+      schedule.nodes[static_cast<size_t>(fill[static_cast<size_t>(u)]++)] = v;
+    }
+    return schedule;
+  }
+
+  /// True iff the subtrees of `v`'s children share no node and, under lazy
+  /// expansion, every canonical/copy pair with a member in v's subtree has
+  /// both members inside one child subtree. `mark` carries per-node labels
+  /// from `*epoch` up, so no check clears it.
+  bool ChildSubtreesIndependent(TreeNodeId v, const LazyGroups* lazy,
+                                std::vector<int64_t>* mark,
+                                int64_t* epoch) const {
+    const std::vector<TreeNodeId>& kids = s_.node(v).children;
+    const int64_t base = *epoch;
+    *epoch += static_cast<int64_t>(kids.size()) + 1;
+    (*mark)[static_cast<size_t>(v)] = base + static_cast<int64_t>(kids.size());
+    std::vector<TreeNodeId> stack;
+    for (size_t i = 0; i < kids.size(); ++i) {
+      const int64_t label = base + static_cast<int64_t>(i);
+      stack.push_back(kids[i]);
+      while (!stack.empty()) {
+        const TreeNodeId x = stack.back();
+        stack.pop_back();
+        int64_t& m = (*mark)[static_cast<size_t>(x)];
+        if (m == label) continue;
+        if (m >= base) return false;  // shared with an earlier child subtree
+        m = label;
+        for (TreeNodeId c : s_.node(x).children) stack.push_back(c);
+      }
+    }
+    if (lazy == nullptr) return true;
+    auto label_of = [&](TreeNodeId x) {
+      const int64_t m = (*mark)[static_cast<size_t>(x)];
+      return m >= base ? m : int64_t{-1};  // -1: outside v's subtree
+    };
+    for (const auto& [canon, copy] : lazy->aligned) {
+      if (label_of(canon) != label_of(copy)) return false;
+    }
+    return true;
+  }
+
+  /// Runs `row(ns, tally)` for every source node by `schedule`: the tasks
+  /// on the pool, largest first, then the spine on the calling thread.
+  /// Returns one tally per unit.
+  template <typename RowFn>
+  std::vector<SweepTally> RunSchedule(ThreadPool* pool,
+                                      const SweepSchedule& schedule,
+                                      const RowFn& row) const {
+    const int tasks = schedule.num_tasks;
+    std::vector<SweepTally> tallies(static_cast<size_t>(tasks) + 1);
+    auto run_unit = [&](int u) {
+      // Tally in a local and store it once: workers writing adjacent
+      // vector slots row by row would share cache lines.
+      SweepTally local;
+      for (int32_t i = schedule.unit_begin[static_cast<size_t>(u)];
+           i < schedule.unit_begin[static_cast<size_t>(u) + 1]; ++i) {
+        row(schedule.nodes[static_cast<size_t>(i)], &local);
+      }
+      tallies[static_cast<size_t>(u)] = std::move(local);
+    };
+    std::atomic<int> next{0};
+    RunOnWorkers(pool, pool == nullptr ? 1 : std::min(pool->size(), tasks),
+                 [&] {
+                   for (int u = next++; u < tasks; u = next++) run_unit(u);
+                 });
+    run_unit(tasks);
+    return tallies;
+  }
+
+  /// Sums the units' counters in unit order and merges their events into
+  /// source post-order, the serial sweep's firing order: each unit's events
+  /// are already in post-order, so one walk with a cursor per unit does it.
+  void MergeTallies(const SweepSchedule& schedule,
+                    const std::vector<SweepTally>& tallies,
+                    TreeMatchResult* result) const {
+    size_t num_events = 0;
+    for (const SweepTally& t : tallies) {
+      AddStats(t.stats, &result->stats);
+      num_events += t.events.size();
+    }
+    result->events.reserve(num_events);
+    std::vector<size_t> cursor(tallies.size(), 0);
+    for (TreeNodeId ns : s_.post_order()) {
+      const size_t u =
+          static_cast<size_t>(schedule.unit_of[static_cast<size_t>(ns)]);
+      const std::vector<FeedbackEvent>& events = tallies[u].events;
+      size_t& k = cursor[u];
+      while (k < events.size() && events[k].source == ns) {
+        result->events.push_back(events[k++]);
+      }
+    }
+  }
+
+  /// Adds the counters a cold row can set.
+  static void AddStats(const TreeMatchStats& from, TreeMatchStats* to) {
+    to->pairs_compared += from.pairs_compared;
+    to->pairs_pruned_leaf_count += from.pairs_pruned_leaf_count;
+    to->pairs_skipped_lazy += from.pairs_skipped_lazy;
+    to->leaf_scans_skipped += from.leaf_scans_skipped;
+    to->increases_applied += from.increases_applied;
+    to->decreases_applied += from.decreases_applied;
+    to->link_tests += from.link_tests;
+    to->scale_ops += from.scale_ops;
   }
 
   // Both init fills write disjoint source-node rows, so the row blocks can
@@ -1265,17 +1488,17 @@ class TreeMatcher {
   /// optional leaves without strong links are dropped from both numerator
   /// and denominator when optional_discount is on.
   double StructuralSimilarity(const NodeSimilarities& sims, TreeNodeId ns,
-                              TreeNodeId nt,
+                              TreeNodeId nt, int64_t* link_tests,
                               int32_t* strong_out = nullptr,
                               int32_t* included_out = nullptr) const {
     return LinkFraction(sims, s_frontier_.of(ns), t_frontier_.of(nt),
-                        strong_out, included_out);
+                        link_tests, strong_out, included_out);
   }
 
   /// Section 8.4 fast path: structural similarity over the immediate
   /// children only (their wsims are already computed, post-order).
   double ChildLevelSimilarity(const NodeSimilarities& sims, TreeNodeId ns,
-                              TreeNodeId nt) const {
+                              TreeNodeId nt, int64_t* link_tests) const {
     std::vector<LeafRef> ls, lt;
     for (TreeNodeId c : s_.node(ns).children) {
       ls.push_back({c, s_.node(c).optional});
@@ -1283,20 +1506,21 @@ class TreeMatcher {
     for (TreeNodeId c : t_.node(nt).children) {
       lt.push_back({c, t_.node(c).optional});
     }
-    return LinkFraction(sims, ls, lt, nullptr, nullptr);
+    return LinkFraction(sims, ls, lt, link_tests, nullptr, nullptr);
   }
 
   /// The one link-test scan: the fraction of `ls` and `lt` entries with a
   /// strong link into the other list, with the integer tallies behind it.
+  /// Adds its link tests to `*link_tests` unless that is null.
   double LinkFraction(const NodeSimilarities& sims,
                       const std::vector<LeafRef>& ls,
-                      const std::vector<LeafRef>& lt, int32_t* strong_out,
-                      int32_t* included_out) const {
-    int64_t strong = 0, included = 0;
+                      const std::vector<LeafRef>& lt, int64_t* link_tests,
+                      int32_t* strong_out, int32_t* included_out) const {
+    int64_t strong = 0, included = 0, tests = 0;
     for (const LeafRef& x : ls) {
       bool has_link = false;
       for (const LeafRef& y : lt) {
-        ++link_tests_;
+        ++tests;
         if (LinkStrength(sims, x.leaf, y.leaf) >= opt_.th_accept) {
           has_link = true;
           break;
@@ -1312,7 +1536,7 @@ class TreeMatcher {
     for (const LeafRef& y : lt) {
       bool has_link = false;
       for (const LeafRef& x : ls) {
-        ++link_tests_;
+        ++tests;
         if (LinkStrength(sims, x.leaf, y.leaf) >= opt_.th_accept) {
           has_link = true;
           break;
@@ -1325,6 +1549,7 @@ class TreeMatcher {
         ++included;
       }
     }
+    if (link_tests != nullptr) *link_tests += tests;
     if (strong_out != nullptr) {
       *strong_out = static_cast<int32_t>(strong);
       *included_out = static_cast<int32_t>(included);
@@ -1334,52 +1559,55 @@ class TreeMatcher {
                                static_cast<double>(included);
   }
 
-  void ComparePair(TreeNodeId ns, TreeNodeId nt, TreeMatchResult* result) {
-    NodeSimilarities& sims = result->sims;
+  void ComparePair(TreeNodeId ns, TreeNodeId nt, NodeSimilarities* sims,
+                   SweepTally* tally) const {
+    TreeMatchStats& stats = tally->stats;
     const bool leaf_pair = s_.IsLeaf(ns) && t_.IsLeaf(nt);
     if (!leaf_pair) {
       if (PruneByLeafCount(ns, nt)) {
-        ++result->stats.pairs_pruned_leaf_count;
+        ++stats.pairs_pruned_leaf_count;
         return;
       }
       bool skipped = false;
       if (opt_.skip_leaves_threshold > 0.0 && !s_.IsLeaf(ns) &&
           !t_.IsLeaf(nt)) {
-        double child_sim = ChildLevelSimilarity(sims, ns, nt);
+        double child_sim =
+            ChildLevelSimilarity(*sims, ns, nt, &stats.link_tests);
         if (child_sim >= opt_.skip_leaves_threshold) {
-          sims.set_ssim(ns, nt, child_sim);
-          ++result->stats.leaf_scans_skipped;
+          sims->set_ssim(ns, nt, child_sim);
+          ++stats.leaf_scans_skipped;
           skipped = true;
         }
       }
       if (!skipped) {
-        sims.set_ssim(ns, nt, StructuralSimilarity(sims, ns, nt));
+        sims->set_ssim(ns, nt,
+                       StructuralSimilarity(*sims, ns, nt, &stats.link_tests));
       }
     }
-    ++result->stats.pairs_compared;
-    double wsim = MixWsim(sims, ns, nt, sims.ssim(ns, nt), leaf_pair);
-    sims.set_wsim(ns, nt, wsim);
+    ++stats.pairs_compared;
+    double wsim = MixWsim(*sims, ns, nt, sims->ssim(ns, nt), leaf_pair);
+    sims->set_wsim(ns, nt, wsim);
 
     if (leaf_pair && !opt_.leaf_pair_feedback) return;
     if (wsim > opt_.th_high) {
-      ScaleSubtreeLeaves(ns, nt, opt_.c_inc, &sims);
-      result->events.push_back({ns, nt, int8_t{1}});
-      ++result->stats.increases_applied;
+      ScaleSubtreeLeaves(ns, nt, opt_.c_inc, sims, &stats);
+      tally->events.push_back({ns, nt, int8_t{1}});
+      ++stats.increases_applied;
     } else if (wsim < opt_.th_low) {
-      ScaleSubtreeLeaves(ns, nt, opt_.c_dec, &sims);
-      result->events.push_back({ns, nt, int8_t{-1}});
-      ++result->stats.decreases_applied;
+      ScaleSubtreeLeaves(ns, nt, opt_.c_dec, sims, &stats);
+      tally->events.push_back({ns, nt, int8_t{-1}});
+      ++stats.decreases_applied;
     }
   }
 
   void ScaleSubtreeLeaves(TreeNodeId ns, TreeNodeId nt, double factor,
-                          NodeSimilarities* sims) const {
+                          NodeSimilarities* sims, TreeMatchStats* stats) const {
+    const std::vector<LeafRef>& lt = t_.leaves(nt);
     for (const LeafRef& x : s_.leaves(ns)) {
-      for (const LeafRef& y : t_.leaves(nt)) {
-        ++scale_ops_;
-        sims->ScaleSsim(x.leaf, y.leaf, factor);
-      }
+      for (const LeafRef& y : lt) sims->ScaleSsim(x.leaf, y.leaf, factor);
     }
+    stats->scale_ops +=
+        static_cast<int64_t>(s_.leaves(ns).size() * lt.size());
   }
 
   /// Lazy expansion: every copy descendant inherits the full similarity rows
@@ -1418,10 +1646,6 @@ class TreeMatcher {
   /// A mid-sweep divergence dirtied new leaf blocks; re-derive the clean
   /// flags before trusting them again.
   bool clean_flags_stale_ = false;
-  /// Work counters surfaced through TreeMatchStats (mutable: the scans run
-  /// from const query paths).
-  mutable int64_t link_tests_ = 0;
-  mutable int64_t scale_ops_ = 0;
 };
 
 }  // namespace

@@ -70,9 +70,12 @@ struct TreeMatchOptions {
   /// immediate-children similarity reaches this threshold adopts it as ssim
   /// without scanning the leaf sets. 0 disables (default).
   double skip_leaves_threshold = 0.0;
-  /// Worker threads for the parallel row fills (ProjectLsim, InitLeafSsim);
-  /// 0 = all hardware threads. The TreeMatch sweep itself is inherently
-  /// sequential (mutual recursion through leaf feedback).
+  /// Worker threads for the row fills (ProjectLsim, InitLeafSsim) and for
+  /// the cold sweep and recompute; 0 = all hardware threads. A sweep row
+  /// reads and rescales only cells of its own source subtree, so source
+  /// subtrees that share no node run as parallel tasks and their common
+  /// ancestors run serially after them. Results are identical at any
+  /// thread count; 1 runs the whole tree as one task.
   int num_threads = 0;
 };
 
@@ -91,6 +94,11 @@ struct TreeMatchStats {
   int64_t link_tests = 0;
   /// Leaf-pair ssim cells rescaled by increase/decrease feedback.
   int64_t scale_ops = 0;
+  /// Cold runs only: source subtree tasks the sweep ran; 1 when the tree
+  /// could not be split (one thread, a small tree, a DAG node shared
+  /// between subtrees, or lazy-expansion copies straddling them). Depends
+  /// on the thread count, unlike every other field.
+  int64_t sweep_tasks = 0;
   /// Incremental runs only: node pairs whose similarities were copied from
   /// the previous run instead of rescanned.
   int64_t pairs_reused = 0;

@@ -133,6 +133,37 @@ bool JsonValue::GetBool(std::string_view key, bool fallback) const {
   return (v && v->type == Type::kBool) ? v->bool_value : fallback;
 }
 
+namespace {
+
+Status WrongType(std::string_view key, const char* type) {
+  return Status::InvalidArgument(std::string(key) + " must be " + type);
+}
+
+}  // namespace
+
+Result<std::string> JsonValue::CheckedString(std::string_view key,
+                                             std::string fallback) const {
+  const JsonValue* v = Find(key);
+  if (v == nullptr) return fallback;
+  if (v->type != Type::kString) return WrongType(key, "a string");
+  return v->string;
+}
+
+Result<double> JsonValue::CheckedNumber(std::string_view key,
+                                        double fallback) const {
+  const JsonValue* v = Find(key);
+  if (v == nullptr) return fallback;
+  if (v->type != Type::kNumber) return WrongType(key, "a number");
+  return v->number;
+}
+
+Result<bool> JsonValue::CheckedBool(std::string_view key, bool fallback) const {
+  const JsonValue* v = Find(key);
+  if (v == nullptr) return fallback;
+  if (v->type != Type::kBool) return WrongType(key, "a boolean");
+  return v->bool_value;
+}
+
 // ----------------------------------------------------------------- parser --
 
 namespace {

@@ -107,6 +107,15 @@ struct JsonValue {
   /// when present but not a number, not integral, or outside int's range
   /// (a bare cast would wrap 2^32 + 1 to 1, or be undefined past 2^63).
   Result<int> GetInt(std::string_view key, int fallback = 0) const;
+
+  /// \brief Checked members for request parsing: `fallback` when absent;
+  /// InvalidArgument when present with any other type, so a request like
+  /// {"exhaustive":"yes"} is refused instead of running with the default.
+  Result<std::string> CheckedString(std::string_view key,
+                                    std::string fallback = "") const;
+  Result<double> CheckedNumber(std::string_view key,
+                               double fallback = 0.0) const;
+  Result<bool> CheckedBool(std::string_view key, bool fallback = false) const;
 };
 
 /// \brief Parses exactly one JSON document (trailing whitespace allowed;

@@ -1,14 +1,16 @@
 // A small fixed-size thread pool plus a deterministic ParallelFor helper.
 //
 // Used to parallelize the embarrassingly parallel row blocks of the matcher
-// (lsim matrix fill, ProjectLsim, InitLeafSsim). Tasks must write disjoint
+// (lsim matrix fill, ProjectLsim, InitLeafSsim) and the source-subtree tasks
+// of the cold TreeMatch sweep and recompute. Tasks must write disjoint
 // state; under that contract results are identical at any thread count,
-// which the perf tests assert.
+// which the perf and structural tests assert.
 
 #ifndef CUPID_UTIL_THREAD_POOL_H_
 #define CUPID_UTIL_THREAD_POOL_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -105,6 +107,36 @@ class ThreadPool {
   bool stop_ GUARDED_BY(mu_) = false;
 };
 
+/// \brief Runs `work` once on each of `workers` threads, the calling
+/// thread and workers - 1 of `pool`'s, and blocks until every call
+/// returned. The calls typically share a work counter, so a straggler
+/// delays only its current item. `pool` may be null when `workers` is 1.
+inline void RunOnWorkers(ThreadPool* pool, int workers,
+                         const std::function<void()>& work) {
+  Mutex mu;
+  CondVar done;
+  int remaining = workers - 1;  // guarded by mu (local, so not annotatable)
+  auto finish = [&] {
+    MutexLock lock(&mu);
+    if (--remaining == 0) done.SignalAll();
+  };
+  for (int w = 1; w < workers; ++w) {
+    bool accepted = pool->Submit([&] {
+      work();
+      finish();
+    });
+    if (!accepted) {
+      // Pool shut down mid-loop: run the call inline so the barrier below
+      // still completes.
+      work();
+      finish();
+    }
+  }
+  work();
+  MutexLock lock(&mu);
+  while (remaining != 0) done.Wait(&mu);
+}
+
 /// \brief Runs body(begin, end) over [0, n) split into contiguous chunks.
 ///
 /// Runs inline when `pool` is null, has one worker, or the range is tiny.
@@ -123,27 +155,12 @@ inline void ParallelFor(ThreadPool* pool, int64_t n,
   chunks = std::max<int64_t>(chunks, 1);
   int64_t chunk_size = (n + chunks - 1) / chunks;
 
-  Mutex mu;
-  CondVar done;
-  int64_t remaining = chunks;  // guarded by mu (local, so not annotatable)
-  for (int64_t c = 0; c < chunks; ++c) {
-    int64_t begin = c * chunk_size;
-    int64_t end = std::min(n, begin + chunk_size);
-    bool accepted = pool->Submit([&, begin, end] {
-      body(begin, end);
-      MutexLock lock(&mu);
-      if (--remaining == 0) done.SignalAll();
-    });
-    if (!accepted) {
-      // Pool shut down mid-loop: run the chunk inline so the barrier below
-      // still completes.
-      body(begin, end);
-      MutexLock lock(&mu);
-      if (--remaining == 0) done.SignalAll();
+  std::atomic<int64_t> next{0};
+  RunOnWorkers(pool, static_cast<int>(chunks), [&] {
+    for (int64_t c = next++; c < chunks; c = next++) {
+      body(c * chunk_size, std::min(n, (c + 1) * chunk_size));
     }
-  }
-  MutexLock lock(&mu);
-  while (remaining != 0) done.Wait(&mu);
+  });
 }
 
 }  // namespace cupid

@@ -747,5 +747,56 @@ TEST(ProtocolIntegerTest, RejectsThreadCountsAboveTheCap) {
   EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(ProtocolTypeTest, RejectsMembersOfTheWrongType) {
+  ExecutorFixture fx(/*with_search=*/true);
+  fx.RegisterShippedSchemas();
+  // Each line once ran with the member's default instead of failing.
+  for (const char* line : {
+           "{\"cmd\":\"search\",\"source\":\"po\",\"exhaustive\":\"yes\","
+           "\"prune_fraction\":\"0.1\"}",
+           "{\"cmd\":\"search\",\"source\":\"po\",\"prune_fraction\":\"0.1\"}",
+           "{\"cmd\":\"search\",\"source\":\"po\",\"prune\":1}",
+           "{\"cmd\":\"search\",\"source\":[\"po\"]}",
+           "{\"cmd\":\"match\",\"source\":\"po\",\"target\":\"order\","
+           "\"use_result_cache\":\"no\"}",
+           "{\"cmd\":\"match\",\"source\":\"po\",\"target\":\"order\","
+           "\"use_session\":null}",
+           "{\"cmd\":\"match\",\"source\":\"po\",\"target\":\"order\","
+           "\"mappings\":0}",
+           "{\"cmd\":\"match\",\"source\":\"po\",\"target\":\"order\","
+           "\"config\":{\"th_accept\":\"0.6\"}}",
+           "{\"cmd\":\"match\",\"source\":\"po\",\"target\":\"order\","
+           "\"config\":{\"one_to_one\":\"true\"}}",
+           "{\"cmd\":\"batch\",\"requests\":[{\"source\":\"po\","
+           "\"target\":\"order\",\"mappings\":0}]}",
+           "{\"cmd\":\"edit\",\"name\":\"po\",\"op\":\"rename\","
+           "\"path\":\"PO.POLines\",\"to\":7}",
+           "{\"cmd\":\"edit\",\"name\":\"po\",\"op\":\"add\","
+           "\"parent\":\"PO.POLines\",\"leaf\":\"Note\",\"type\":3}",
+           "{\"cmd\":\"edit\",\"name\":\"po\",\"op\":\"add\","
+           "\"parent\":\"PO.POLines\",\"leaf\":\"Note\",\"optional\":\"no\"}",
+           "{\"cmd\":\"edit\",\"name\":1,\"op\":\"remove\","
+           "\"path\":\"PO.POLines\"}",
+           "{\"cmd\":\"register\",\"name\":\"x\",\"text\":\"\","
+           "\"format\":2}",
+           "{\"cmd\":\"register\",\"name\":\"x\",\"text\":2}",
+           "{\"cmd\":\"metrics\",\"format\":[\"prometheus\"]}",
+       }) {
+    EXPECT_EQ(ErrorCode(fx.Execute(line)), "InvalidArgument") << line;
+  }
+  // The same members with their proper types are accepted.
+  std::vector<std::string> frames = fx.Execute(
+      "{\"cmd\":\"search\",\"source\":\"po\",\"exhaustive\":true,"
+      "\"prune_fraction\":0.1}");
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(JsonField(frames[0], "status"), "ok") << frames[0];
+  frames = fx.Execute(
+      "{\"cmd\":\"match\",\"source\":\"po\",\"target\":\"order\","
+      "\"use_result_cache\":false,\"mappings\":false,"
+      "\"config\":{\"th_accept\":0.6,\"one_to_one\":true}}");
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(JsonField(frames[0], "status"), "ok") << frames[0];
+}
+
 }  // namespace
 }  // namespace cupid

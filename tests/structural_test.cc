@@ -1,9 +1,14 @@
 // Tests for structural matching (src/structural): type compatibility,
 // TreeMatch dynamics (increases/decreases, pruning, optionality, lazy
-// expansion) and the recompute pass.
+// expansion), the recompute pass, and their invariance under the thread
+// count.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "eval/synthetic.h"
+#include "importers/sql_ddl_parser.h"
 #include "linguistic/linguistic_matcher.h"
 #include "schema/schema_builder.h"
 #include "structural/tree_match.h"
@@ -406,6 +411,191 @@ TEST(TreeMatchTest, RecomputeDimensionMismatchRejected) {
   auto tree = BuildSchemaTree(s).ValueOrDie();
   EXPECT_TRUE(RecomputeNonLeafSimilarities(tree, *f.tree2, {}, &result)
                   .IsInvalidArgument());
+}
+
+// -------------------------------------------------------- thread invariance --
+
+/// One TreeMatch input: two trees and the element lsim between them.
+struct SweepInput {
+  SweepInput(Schema s1, Schema s2)
+      : source(std::move(s1)), target(std::move(s2)) {
+    Thesaurus th = DefaultThesaurus();
+    LinguisticMatcher lm(&th, {});
+    lsim = lm.Match(source, target).ValueOrDie().lsim;
+    source_tree = std::make_unique<SchemaTree>(
+        BuildSchemaTree(source).ValueOrDie());
+    target_tree = std::make_unique<SchemaTree>(
+        BuildSchemaTree(target).ValueOrDie());
+  }
+
+  // The trees point at the schemas above.
+  SweepInput(SweepInput&&) = delete;
+
+  /// TreeMatch then RecomputeNonLeafSimilarities at `threads`.
+  TreeMatchResult Run(TreeMatchOptions options, int threads) const {
+    options.num_threads = threads;
+    auto r = TreeMatch(*source_tree, *target_tree, lsim,
+                       TypeCompatibilityTable::Default(), options);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return {};
+    EXPECT_TRUE(
+        RecomputeNonLeafSimilarities(*source_tree, *target_tree, options, &*r)
+            .ok());
+    return std::move(*r);
+  }
+
+  Schema source, target;
+  Matrix<float> lsim;
+  std::unique_ptr<SchemaTree> source_tree, target_tree;
+};
+
+template <typename T>
+void ExpectSameBits(const Matrix<T>& a, const Matrix<T>& b,
+                    const std::string& what) {
+  ASSERT_EQ(a.rows(), b.rows()) << what;
+  ASSERT_EQ(a.cols(), b.cols()) << what;
+  for (int64_t r = 0; r < a.rows(); ++r) {
+    ASSERT_EQ(std::memcmp(a.row(r), b.row(r),
+                          static_cast<size_t>(a.cols()) * sizeof(T)),
+              0)
+        << what << " differs in row " << r;
+  }
+}
+
+/// Everything a threaded run must reproduce of the one-thread run, bit for
+/// bit: the ssim and wsim cells, both counts matrices, the event sequence
+/// and every counter except sweep_tasks.
+void ExpectSameResult(const TreeMatchResult& serial,
+                      const TreeMatchResult& threaded,
+                      const std::string& what) {
+  ExpectSameBits(serial.sims.ssim_matrix(), threaded.sims.ssim_matrix(),
+                 what + " ssim");
+  ExpectSameBits(serial.sims.wsim_matrix(), threaded.sims.wsim_matrix(),
+                 what + " wsim");
+  ExpectSameBits(serial.counts.strong, threaded.counts.strong,
+                 what + " counts.strong");
+  ExpectSameBits(serial.counts.included, threaded.counts.included,
+                 what + " counts.included");
+  ASSERT_EQ(serial.events.size(), threaded.events.size()) << what;
+  for (size_t k = 0; k < serial.events.size(); ++k) {
+    const FeedbackEvent& a = serial.events[k];
+    const FeedbackEvent& b = threaded.events[k];
+    ASSERT_TRUE(a.source == b.source && a.target == b.target &&
+                a.direction == b.direction)
+        << what << " event " << k;
+  }
+  const TreeMatchStats& a = serial.stats;
+  const TreeMatchStats& b = threaded.stats;
+  EXPECT_EQ(a.pairs_compared, b.pairs_compared) << what;
+  EXPECT_EQ(a.pairs_pruned_leaf_count, b.pairs_pruned_leaf_count) << what;
+  EXPECT_EQ(a.pairs_skipped_lazy, b.pairs_skipped_lazy) << what;
+  EXPECT_EQ(a.leaf_scans_skipped, b.leaf_scans_skipped) << what;
+  EXPECT_EQ(a.increases_applied, b.increases_applied) << what;
+  EXPECT_EQ(a.decreases_applied, b.decreases_applied) << what;
+  EXPECT_EQ(a.link_tests, b.link_tests) << what;
+  EXPECT_EQ(a.scale_ops, b.scale_ops) << what;
+  EXPECT_EQ(a.pairs_reused, b.pairs_reused) << what;
+  EXPECT_EQ(a.rows_gathered, b.rows_gathered) << what;
+  EXPECT_EQ(a.visit_list_pairs, b.visit_list_pairs) << what;
+  EXPECT_EQ(a.feedback_divergences, b.feedback_divergences) << what;
+}
+
+enum class Split { kSplits, kOneTask };
+
+/// Runs `input` at 1, 2, 3, 4 and 8 threads and compares each against the
+/// one-thread run; `split` says whether a threaded sweep may split.
+void ExpectThreadInvariant(const SweepInput& input,
+                           const TreeMatchOptions& options, Split split,
+                           const std::string& what) {
+  // Below 32 source nodes no pool is spawned and nothing is tested.
+  ASSERT_GE(input.source_tree->num_nodes(), 32) << what;
+  const TreeMatchResult serial = input.Run(options, 1);
+  EXPECT_EQ(serial.stats.sweep_tasks, 1) << what;
+  EXPECT_GT(serial.stats.pairs_compared, 0) << what;
+  for (int threads : {2, 3, 4, 8}) {
+    const std::string label = what + " @" + std::to_string(threads);
+    const TreeMatchResult threaded = input.Run(options, threads);
+    ExpectSameResult(serial, threaded, label);
+    if (split == Split::kSplits) {
+      EXPECT_GT(threaded.stats.sweep_tasks, 1) << label;
+    } else {
+      EXPECT_EQ(threaded.stats.sweep_tasks, 1) << label;
+    }
+  }
+}
+
+SweepInput SyntheticInput(double zipf) {
+  SyntheticOptions o;
+  o.num_elements = 512;
+  o.name_zipf_exponent = zipf;
+  o.seed = 7;
+  SyntheticPair p = GenerateSyntheticPair(o);
+  return SweepInput(std::move(p.source), std::move(p.target));
+}
+
+TEST(TreeMatchThreadsTest, SyntheticPairsAreThreadInvariant) {
+  for (double zipf : {0.0, 1.1}) {
+    const SweepInput input = SyntheticInput(zipf);
+    const std::string what = zipf > 0 ? "zipf" : "uniform";
+    ExpectThreadInvariant(input, {}, Split::kSplits, what);
+    TreeMatchOptions depth2;
+    depth2.max_leaf_depth = 2;
+    ExpectThreadInvariant(input, depth2, Split::kSplits,
+                          what + " max_leaf_depth=2");
+    TreeMatchOptions skip;
+    skip.skip_leaves_threshold = 0.9;
+    ExpectThreadInvariant(input, skip, Split::kSplits,
+                          what + " skip_leaves_threshold=0.9");
+  }
+}
+
+TEST(TreeMatchThreadsTest, JoinViewDagRunsAsOneTask) {
+  auto rdb = LoadSqlDdlFile(std::string(CUPID_DATA_DIR) + "/rdb.sql");
+  auto star = LoadSqlDdlFile(std::string(CUPID_DATA_DIR) + "/star.sql");
+  ASSERT_TRUE(rdb.ok() && star.ok());
+  const SweepInput input(std::move(*rdb), std::move(*star));
+  // The default tree build expands join views into nodes shared between
+  // two parents; the test needs such a node to mean anything.
+  bool shared = false;
+  const SchemaTree& tree = *input.source_tree;
+  for (TreeNodeId n = 0; n < tree.num_nodes() && !shared; ++n) {
+    for (TreeNodeId c : tree.node(n).children) {
+      shared = shared || tree.node(c).parent != n;
+    }
+  }
+  ASSERT_TRUE(shared);
+  ExpectThreadInvariant(input, {}, Split::kOneTask, "rdb-star");
+}
+
+/// A shared complex type under four top-level elements: under lazy
+/// expansion its copies straddle every split of the root.
+Schema SharedTypeSchema(const std::string& name, int contexts) {
+  XmlSchemaBuilder b(name);
+  ElementId type = b.AddComplexType("AddressType");
+  for (const char* field : {"Street", "City", "Zip", "Country", "Region",
+                            "Phone", "Fax", "Email", "Contact", "Note"}) {
+    b.AddAttribute(type, field, DataType::kString);
+  }
+  for (int i = 0; i < contexts; ++i) {
+    ElementId e = b.AddElement(b.root(), "Party" + std::to_string(i));
+    b.AddAttribute(e, "Id" + std::to_string(i), DataType::kInteger);
+    ElementId a = b.AddElement(e, "Address");
+    b.SetType(a, type);
+  }
+  return std::move(b).Build();
+}
+
+TEST(TreeMatchThreadsTest, LazyExpansionIsThreadInvariant) {
+  TreeMatchOptions lazy;
+  lazy.lazy_expansion = true;
+  // Copies in different subtrees of the root keep the tree one task.
+  const SweepInput shared(SharedTypeSchema("S1", 4),
+                          SharedTypeSchema("S2", 3));
+  ExpectThreadInvariant(shared, lazy, Split::kOneTask, "shared-type lazy");
+  EXPECT_GT(shared.Run(lazy, 4).stats.pairs_skipped_lazy, 0);
+  // Without duplicated subtrees, lazy expansion does not constrain a split.
+  ExpectThreadInvariant(SyntheticInput(0.0), lazy, Split::kSplits,
+                        "uniform lazy");
 }
 
 }  // namespace
